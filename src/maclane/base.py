@@ -147,12 +147,6 @@ class BaseField:
             raise ValueError("t only exists in F_p(t)")
         return BaseElem(self, ((0, 1), (1,)))
 
-    def from_tpoly(self, num, den=(1,)) -> "BaseElem":
-        """Element num/den from little-endian integer coefficient sequences."""
-        if self.kind != "Fpt":
-            raise ValueError("from_tpoly on Q")
-        return BaseElem(self, _reduce_fpt(tuple(num), tuple(den), self.p))
-
     def uniformizer(self) -> "BaseElem":
         return self.from_int(self.p) if self.kind == "Q" else self.t()
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .base import INF, BaseField, InvariantError, format_value, parse_value
@@ -208,33 +209,34 @@ def build_parser() -> _Parser:
 
 
 def _emit(obj, args=None) -> None:
+    """Write obj to the --json file, if any, then print it.  A reader that
+    closed stdout early (``| head``) silences stdout instead of raising."""
     text = json.dumps(obj, indent=2)
-    print(text)
     if args is not None and getattr(args, "json", None):
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
-    except _UsageError as e:
-        _emit({"error": {"type": "ValueError", "message": str(e)}})
-        return 2
-    try:
-        out = args.func(args, _make_base(args))
-    except _UsageError as e:
-        _emit({"error": {"type": "ValueError", "message": str(e)}}, args)
-        return 2
-    except ValueError as e:
-        _emit({"error": {"type": "ValueError", "message": str(e)}}, args)
-        return 2
+        out, code = args.func(args, _make_base(args)), 0
+    except (_UsageError, ValueError) as e:
+        out, code = {"error": {"type": "ValueError", "message": str(e)}}, 2
     except InvariantError as e:
-        _emit({"error": {"type": "InvariantError", "message": str(e)}}, args)
-        return 3
+        out, code = {"error": {"type": "InvariantError", "message": str(e)}}, 3
     _emit(out, args)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -2,10 +2,12 @@
 
 Fields are represented as F_p[w]/(modulus) with a deterministic modulus:
 the lexicographically first monic irreducible of degree k (ordered by the
-tuple of non-leading coefficients).  Elements are little-endian coefficient
-tuples.  Equal-degree splitting uses an explicit seeded random source, so
-every factorization is reproducible; with no source given a fresh
-``random.Random(0)`` is used.
+tuple of non-leading coefficients), found once per (p, k) by the Rabin test
+over GF(p) and cached with the field.  Elements are little-endian ``fppoly``
+coefficient tuples.  Polynomials over a field are ``FFPoly``, a subclass of
+``poly.Polynomial`` printed in y.  Equal-degree splitting uses an explicit
+seeded random source, so every factorization is reproducible; with no source
+given a fresh ``random.Random(0)`` is used.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import random
 from functools import lru_cache
 
 from . import fppoly
+from .poly import Polynomial
 
 
 @lru_cache(maxsize=None)
-def _field_cache(p, k, modulus):
-    return FiniteField(p, k, modulus, _token=_TOKEN)
+def _field_of(p, k):
+    return FiniteField(p, k, first_irreducible(p, k), _token=_TOKEN)
 
 
 _TOKEN = object()
@@ -37,7 +40,7 @@ class FiniteField:
     def of(cls, p: int, k: int = 1) -> "FiniteField":
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        return _field_cache(p, k, fppoly.first_irreducible(p, k))
+        return _field_of(p, k)
 
     # -- elements ------------------------------------------------------------
 
@@ -239,224 +242,47 @@ def absolute_trace(a: FFElem) -> int:
     return t.coeffs[0] if t.coeffs else 0
 
 
-class FFPoly:
-    """Dense polynomial over a FiniteField, printed in the variable y."""
+class FFPoly(Polynomial):
+    """Polynomial over a FiniteField, printed in the variable y.
 
-    __slots__ = ("field", "coeffs")
+    The arithmetic is Polynomial's; this class adds division by a non-monic
+    divisor, its own printing of coefficients, and a deterministic sort key.
+    """
 
-    def __init__(self, field: FiniteField, coeffs):
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, FFElem) or c.field != field:
-                raise ValueError("finite field mismatch in coefficients")
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, (field.one(),))
+    __slots__ = ()
+    var = "y"
 
     @classmethod
     def y(cls, field):
-        return cls(field, (field.zero(), field.one()))
-
-    @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, tuple(field.from_int(n) for n in ints))
-
-    @classmethod
-    def from_dict(cls, field, d):
-        if not d:
-            return cls.zero(field)
-        n = max(d)
-        return cls(field, tuple(d.get(i, field.zero()) for i in range(n + 1)))
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
-
-    def _check(self, other):
-        if isinstance(other, (int, FFElem)):
-            c = other if isinstance(other, FFElem) else self.field.from_int(other)
-            other = FFPoly(self.field, (c,))
-        if not isinstance(other, FFPoly) or other.field != self.field:
-            raise ValueError("finite field mismatch")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FFPoly(self.field, (self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FFPoly(self.field, (-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if self.is_zero() or other.is_zero():
-            return FFPoly.zero(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return FFPoly(self.field, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: FFElem):
-        return FFPoly(self.field, (a * c for a in self.coeffs))
-
-    def __pow__(self, e: int):
-        r = FFPoly.one(self.field)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return cls.x(field)
 
     def __divmod__(self, other):
         other = self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
+        if other.is_zero() or other.is_monic():
+            return super().__divmod__(other)
         inv = other.leading().inverse()
-        rem = list(self.coeffs)
-        dq = other.degree()
-        if len(rem) <= dq:
-            return FFPoly.zero(self.field), self
-        quo = [self.field.zero()] * (len(rem) - dq)
-        for i in range(len(rem) - dq - 1, -1, -1):
-            c = rem[i + dq] * inv
-            if c.is_zero():
-                continue
-            quo[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - c * b
-        return FFPoly(self.field, quo), FFPoly(self.field, rem[:dq])
+        quo, rem = super().__divmod__(other.scale(inv))
+        return quo.scale(inv), rem
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def leading(self):
-        if self.is_zero():
-            raise ValueError("leading coefficient of zero")
-        return self.coeffs[-1]
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(self.leading().inverse())
-
-    def gcd(self, other):
-        a, b = self, self._check(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def derivative(self):
-        return FFPoly(self.field, (self.coeffs[i] * i for i in range(1, len(self.coeffs))))
-
-    def __call__(self, a: FFElem):
-        r = self.field.zero()
-        for c in reversed(self.coeffs):
-            r = r * a + c
-        return r
-
-    def pow_mod(self, e: int, m: "FFPoly"):
-        r = FFPoly.one(self.field) % m
-        b = self % m
-        while e:
-            if e & 1:
-                r = (r * b) % m
-            b = (b * b) % m
-            e >>= 1
-        return r
-
-    def shift_down(self, k: int):
-        return FFPoly(self.field, self.coeffs[k:])
-
-    def order_y(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        raise ValueError("order of zero polynomial")
+    @staticmethod
+    def _needs_parens(cs: str) -> bool:
+        return "+" in cs or "*" in cs or "^" in cs
 
     def sort_key(self):
         return (self.degree(), tuple(c.key() for c in self.coeffs))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, FFElem)):
-            other = self._check(other)
-        if not isinstance(other, FFPoly) or other.field != self.field:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if i == 0:
-                term = cs
-            else:
-                ys = "y" if i == 1 else f"y^{i}"
-                if cs == "1":
-                    term = ys
-                else:
-                    if "+" in cs or "*" in cs or "^" in cs:
-                        cs = f"({cs})"
-                    term = f"{cs}*{ys}"
-            parts.append(term)
-        return "+".join(parts)
-
-    def __repr__(self):
-        return f"<{self} over {self.field!r}>"
 
 
 # -- factorization ---------------------------------------------------------------
 
 
 def is_irreducible(f: FFPoly) -> bool:
+    """Rabin test over the coefficient field GF(q)."""
     n = f.degree()
     if n <= 0:
         return False
     if n == 1:
         return True
+    f = f.monic()   # reductions mod a monic f need no rescaling
     q = f.field.order
     y = FFPoly.y(f.field)
     if y.pow_mod(q ** n, f) != y % f:
@@ -480,6 +306,27 @@ def _prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def first_irreducible(p, k):
+    """Lexicographically first monic irreducible of degree k over F_p, as an
+    integer coefficient tuple.
+
+    Ordering is by the tuple (c_0, ..., c_{k-1}) of non-leading coefficients.
+    """
+    if k == 1:
+        return (0, 1)
+    prime = FiniteField.of(p, 1)
+    for code in range(p ** k):
+        digits = []
+        c = code
+        for _ in range(k):
+            digits.append(c % p)
+            c //= p
+        f = tuple(digits) + (1,)
+        if is_irreducible(FFPoly.from_ints(prime, f)):
+            return f
+    raise RuntimeError("no irreducible found; p is not prime?")  # pragma: no cover
 
 
 def _poly_pth_root(f: FFPoly) -> FFPoly:

@@ -2,9 +2,10 @@
 
 Index i holds the coefficient of z^i, reduced mod p, with no trailing
 zeros; the zero polynomial is the empty tuple.  Every function takes the
-prime p explicitly.  These are the shared plumbing for rational function
-arithmetic in F_p(t) and for finite field construction; they are not part
-of the public API.
+prime p explicitly.  These are the integer kernel under the elements of
+F_p(t) (numerator and denominator in t) and of GF(p^k) (residues modulo the
+field's modulus); they are not part of the public API.  Polynomials with
+field-element coefficients are ``poly.Polynomial`` and ``ffield.FFPoly``.
 """
 
 from __future__ import annotations
@@ -81,65 +82,3 @@ def order(a):
         if c:
             return i
     raise ValueError("order of zero polynomial")
-
-
-def pow_mod(a, e, m, p):
-    r = (1,)
-    a = div_mod(a, m, p)[1]
-    while e:
-        if e & 1:
-            r = div_mod(mul(r, a, p), m, p)[1]
-        a = div_mod(mul(a, a, p), m, p)[1]
-        e >>= 1
-    return r
-
-
-def is_irreducible(f, p):
-    """Rabin test over F_p."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    z = (0, 1)
-    # z^(p^n) == z mod f
-    if pow_mod(z, p ** n, f, p) != div_mod(z, f, p)[1]:
-        return False
-    for r in _prime_divisors(n):
-        h = pow_mod(z, p ** (n // r), f, p)
-        if gcd(sub(h, z, p), f, p) != (1,):
-            return False
-    return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def first_irreducible(p, k):
-    """Lexicographically first monic irreducible of degree k over F_p.
-
-    Ordering is by the tuple (c_0, ..., c_{k-1}) of non-leading coefficients.
-    """
-    if k == 1:
-        return (0, 1)
-    for code in range(p ** k):
-        digits = []
-        c = code
-        for _ in range(k):
-            digits.append(c % p)
-            c //= p
-        f = tuple(digits) + (1,)
-        if is_irreducible(f, p):
-            return f
-    raise RuntimeError("no irreducible found; p is not prime?")  # pragma: no cover

@@ -1,5 +1,9 @@
 """Univariate polynomials K[x] over a base field, with q-expansions.
 
+``Polynomial`` is the one dense polynomial class: its arithmetic, division,
+gcd, evaluation and printing also serve the residual polynomials over a
+finite field (``ffield.FFPoly``, a subclass).
+
 The q-expansion f = sum_i f_i q^i (deg f_i < deg q) by repeated Euclidean
 division is the workhorse of every valuation computation here; it is exact
 and round-trips by construction.
@@ -18,14 +22,21 @@ from .base import BaseElem, BaseField
 
 
 class Polynomial:
-    """Immutable dense polynomial with BaseElem coefficients, index = degree."""
+    """Immutable dense polynomial, index = degree.
+
+    Coefficients are the elements of ``field``: BaseElem over a BaseField,
+    or FFElem over a FiniteField for the residual polynomials of ``FFPoly``.
+    Every operation builds its result with ``type(self)``, so subclasses
+    share this arithmetic; operands of two different classes never mix.
+    """
 
     __slots__ = ("field", "coeffs")
+    var = "x"
 
-    def __init__(self, field: BaseField, coeffs):
+    def __init__(self, field, coeffs):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, BaseElem) or c.field != field:
+            if not _is_elem_of(c, field):
                 raise ValueError("element/field mismatch in coefficients")
         while cs and cs[-1].is_zero():
             cs.pop()
@@ -47,12 +58,19 @@ class Polynomial:
         return cls(field, (field.zero(), field.one()))
 
     @classmethod
-    def constant(cls, c: BaseElem) -> "Polynomial":
+    def constant(cls, c) -> "Polynomial":
         return cls(c.field, (c,))
 
     @classmethod
     def from_ints(cls, field, ints) -> "Polynomial":
         return cls(field, tuple(field.from_int(n) for n in ints))
+
+    @classmethod
+    def from_dict(cls, field, d) -> "Polynomial":
+        """The polynomial sum d[i] x^i; absent degrees are zero."""
+        if not d:
+            return cls.zero(field)
+        return cls(field, tuple(d.get(i, field.zero()) for i in range(max(d) + 1)))
 
     # -- structure ------------------------------------------------------------
 
@@ -72,37 +90,40 @@ class Polynomial:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def leading(self) -> BaseElem:
+    def leading(self):
         if self.is_zero():
             raise ValueError("leading coefficient of zero")
         return self.coeffs[-1]
 
-    def constant_coeff(self) -> BaseElem:
+    def constant_coeff(self):
         return self.coeffs[0] if self.coeffs else self.field.zero()
 
-    def coeff(self, i: int) -> BaseElem:
+    def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
 
     # -- ring operations --------------------------------------------------------
 
     def _check(self, other):
-        if isinstance(other, BaseElem):
-            other = Polynomial.constant(other)
-        if isinstance(other, int):
-            other = Polynomial.from_ints(self.field, (other,))
-        if not isinstance(other, Polynomial) or other.field != self.field:
-            raise ValueError("element/field mismatch")
-        return other
+        """other as a polynomial of this class and field: ints and field
+        elements become constants, anything else raises ValueError."""
+        if isinstance(other, Polynomial):
+            if type(other) is type(self) and other.field == self.field:
+                return other
+        elif isinstance(other, int):
+            return type(self).from_ints(self.field, (other,))
+        elif _is_elem_of(other, self.field):
+            return type(self).constant(other)
+        raise ValueError("element/field mismatch")
 
     def __add__(self, other):
         other = self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field, (self.coeff(i) + other.coeff(i) for i in range(n)))
+        return type(self)(self.field, (self.coeff(i) + other.coeff(i) for i in range(n)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.field, (-c for c in self.coeffs))
+        return type(self)(self.field, (-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -113,24 +134,24 @@ class Polynomial:
     def __mul__(self, other):
         other = self._check(other)
         if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field)
+            return type(self).zero(self.field)
         out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+        return type(self)(self.field, out)
 
     __rmul__ = __mul__
 
-    def scale(self, c: BaseElem) -> "Polynomial":
-        return Polynomial(self.field, (a * c for a in self.coeffs))
+    def scale(self, c) -> "Polynomial":
+        return type(self)(self.field, (a * c for a in self.coeffs))
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        r = Polynomial.one(self.field)
+        r = type(self).one(self.field)
         b = self
         while e:
             if e & 1:
@@ -148,7 +169,7 @@ class Polynomial:
         rem = list(self.coeffs)
         dq = len(other.coeffs) - 1
         if len(rem) <= dq:
-            return Polynomial.zero(self.field), self
+            return type(self).zero(self.field), self
         quo = [self.field.zero()] * (len(rem) - dq)
         for i in range(len(rem) - dq - 1, -1, -1):
             c = rem[i + dq]
@@ -157,7 +178,7 @@ class Polynomial:
             quo[i] = c
             for j, b in enumerate(other.coeffs):
                 rem[i + j] = rem[i + j] - c * b
-        return Polynomial(self.field, quo), Polynomial(self.field, rem[:dq])
+        return type(self)(self.field, quo), type(self)(self.field, rem[:dq])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -165,10 +186,21 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(self.field, (self.coeffs[i] * i for i in range(1, len(self.coeffs))))
+    def pow_mod(self, e: int, m: "Polynomial") -> "Polynomial":
+        """self^e mod m by repeated squaring."""
+        r = type(self).one(self.field) % m
+        b = self % m
+        while e:
+            if e & 1:
+                r = (r * b) % m
+            b = (b * b) % m
+            e >>= 1
+        return r
 
-    def __call__(self, a: BaseElem) -> BaseElem:
+    def derivative(self) -> "Polynomial":
+        return type(self)(self.field, (self.coeffs[i] * i for i in range(1, len(self.coeffs))))
+
+    def __call__(self, a):
         r = self.field.zero()
         for c in reversed(self.coeffs):
             r = r * a + c
@@ -186,14 +218,21 @@ class Polynomial:
         return a.monic()
 
     def __eq__(self, other):
-        if isinstance(other, (int, BaseElem)):
+        if isinstance(other, int) or _is_elem_of(other, self.field):
             other = self._check(other)
-        if not isinstance(other, Polynomial) or other.field != self.field:
+        if type(other) is not type(self) or other.field != self.field:
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
+
+    # -- printing ---------------------------------------------------------------
+
+    @staticmethod
+    def _needs_parens(cs: str) -> bool:
+        """Whether the printed coefficient cs needs parentheses before ``*x``."""
+        return any(op in cs[1:] for op in "+-/") or "*" in cs
 
     def __str__(self):
         if self.is_zero():
@@ -207,13 +246,13 @@ class Polynomial:
             if i == 0:
                 term = cs
             else:
-                xs = "x" if i == 1 else f"x^{i}"
+                xs = self.var if i == 1 else f"{self.var}^{i}"
                 if cs == "1":
                     term = xs
                 elif cs == "-1":
                     term = f"-{xs}"
                 else:
-                    if any(op in cs[1:] for op in "+-/") or "*" in cs:
+                    if self._needs_parens(cs):
                         cs = f"({cs})"
                     term = f"{cs}*{xs}"
             parts.append(term)
@@ -224,6 +263,11 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} over {self.field}>"
+
+
+def _is_elem_of(c, field) -> bool:
+    """Whether c is an element (not a polynomial) of field."""
+    return not isinstance(c, Polynomial) and getattr(c, "field", None) == field
 
 
 @dataclass(frozen=True)

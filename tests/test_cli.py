@@ -1,6 +1,7 @@
 """End-to-end CLI tests: golden outputs validated against the JSON schemas."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,26 @@ class TestErrors:
         code, out = run_cli("valuate", "--p", "6", "--poly", "x")
         assert code == 2
         check("error", out)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["extensions", "--p", "2", "--poly", "((x^2+x+1)^2+2)^2+4*x"], 0),
+        (["valuate", "--poly", "x+))"], 2),
+    ])
+    def test_closed_stdout_keeps_exit_code(self, tmp_path, argv, expected):
+        # a reader that is already gone, as with `| head -c 1`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = tmp_path / "out.json"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "maclane.cli", *argv, "--json", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == expected
+        assert proc.stderr == b""
+        assert json.loads(path.read_text())
 
     def test_invariant_error_exits_3(self, monkeypatch, capsys):
         # no real input reaches this path, so force it through the dispatch

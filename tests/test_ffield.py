@@ -1,10 +1,12 @@
 """Finite fields, factorization over them, and tower embeddings."""
 
+import functools
 import random
 
 import pytest
 
 from maclane import FFPoly, FiniteField, ff_factor, ff_roots
+from maclane import ffield
 from maclane.ffield import (
     absolute_trace,
     embed_into,
@@ -28,6 +30,17 @@ class TestFieldConstruction:
 
     def test_caching(self):
         assert FiniteField.of(3, 2) is FiniteField.of(3, 2)
+
+    def test_second_call_runs_no_search(self, monkeypatch):
+        # a fresh cache for this test only, so the first call must search
+        monkeypatch.setattr(ffield, "_field_of", functools.lru_cache(ffield._field_of.__wrapped__))
+        search = ffield.first_irreducible
+        calls = []
+        monkeypatch.setattr(ffield, "first_irreducible", lambda p, k: calls.append((p, k)) or search(p, k))
+        first = FiniteField.of(11, 2)
+        searched = list(calls)
+        assert first is FiniteField.of(11, 2)
+        assert calls == searched and searched.count((11, 2)) == 1
 
     def test_deterministic_modulus(self):
         # lexicographically first irreducible: z^2 + z + 1 over F_2
@@ -86,6 +99,8 @@ class TestFFPoly:
         assert (y + FFPoly.one(f)) ** 3 == y ** 3 + FFPoly.one(f)
         g = y ** 2 + FFPoly.one(f)
         assert g(f.from_int(1)) == f.from_int(2)
+        with pytest.raises(ValueError):
+            g ** -1
 
 
 class TestIrreducibility:

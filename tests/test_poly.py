@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from maclane import BaseField, Polynomial, parse_element, parse_polynomial, q_expansion
+from maclane import (
+    BaseField, FFPoly, FiniteField, Polynomial, parse_element, parse_polynomial, q_expansion,
+)
 
 B2 = BaseField.rationals(2)
 B5 = BaseField.rationals(5)
 F2T = BaseField.rational_functions(2)
 F3T = BaseField.rational_functions(3)
+GF8 = FiniteField.of(2, 3)
 
 
 def poly(field, *ints):
@@ -63,6 +66,18 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             divmod(poly(B5, 1, 1), Polynomial.zero(B5))
 
+    def test_no_mixed_classes(self):
+        gf2 = FiniteField.of(2)
+        with pytest.raises(ValueError):
+            Polynomial.x(B2) + FFPoly.y(gf2)
+        with pytest.raises(ValueError):
+            FFPoly.y(gf2) * Polynomial.x(B2)
+        # even over the same field the two classes stay apart
+        with pytest.raises(ValueError):
+            Polynomial.x(gf2) + FFPoly.y(gf2)
+        with pytest.raises(ValueError):
+            FFPoly(gf2, (Polynomial.one(gf2),))
+
     def test_evaluate(self):
         f = poly(B5, 1, 0, 1)
         assert f(B5.from_int(2)) == B5.from_int(5)
@@ -82,6 +97,24 @@ class TestArithmetic:
         f = poly(B5, 2, 4)
         assert f.monic().is_monic()
         assert f.monic() == parse_polynomial(B5, "x + 1/2")
+
+
+def _gf8(*cs):
+    g = GF8.gen()
+    return FFPoly(GF8, tuple(GF8.zero() if c is None else g ** c for c in cs))
+
+
+class TestPrinting:
+    @pytest.mark.parametrize("f, text", [
+        (parse_polynomial(B2, "3/2*x^2 - x + 1"), "(3/2)*x^2-x+1"),
+        (parse_polynomial(B2, "-3/2*x"), "(-3/2)*x"),
+        (parse_polynomial(F2T, "t^2*x"), "t^2*x"),
+        (parse_polynomial(F2T, "(t+1)*x^2 + x/t"), "(t+1)*x^2+(1/t)*x"),
+        (_gf8(0, 2), "(g^2)*y+1"),
+        (_gf8(1, None, 0) + FFPoly.y(GF8) * FFPoly(GF8, (GF8.gen() + 1,)), "y^2+(g+1)*y+g"),
+    ])
+    def test_coefficient_parentheses(self, f, text):
+        assert str(f) == text
 
 
 class TestQExpansion:
