@@ -112,7 +112,7 @@ def max_augmentation_value(chain: MacLaneChain, q: Polynomial, f: Polynomial):
     """
     if not chain.divides_in_graded(q, f):
         raise ValueError("in(q) does not divide in(f)")
-    if (f % q).is_zero():
+    if chain.truncate(q, f).digits[0].is_zero():
         return INF
     alpha = -newton_polygon(chain, q, f).first_slope()
     if not alpha > chain.valuate(q):

@@ -78,7 +78,10 @@ def parse_value(s: str):
     s = s.strip()
     if s == "inf":
         return INF
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in value {s!r}") from None
 
 
 def format_value(v) -> str:

@@ -7,6 +7,11 @@ valuation with support (phi_t) pulled back from K[x]/(phi_t).  Evaluation is
 recursive: expand f in phi_t, value each digit by the previous stages, and
 take min(value(f_i) + i*lambda_t).
 
+Every value, argmin set, Newton polygon and residual polynomial is read off
+one memoized object per (f, q), the ``TruncationData`` of ``_expansion``,
+kept on the stage whose prefix values its digits: sound because a stage only
+ever sits on the prefix it was built on, which the chain constructor checks.
+
 Each stage carries the combinatorial data of its graded ring: the value
 group denominator D_s, the relative ramification d_s = D_s/D_{s-1}, the
 scaled value n_s = lambda_s * D_s with a Bezout pair a*n + b*d = 1, and the
@@ -33,10 +38,11 @@ class Stage:
     __slots__ = (
         "key", "value", "denom", "rel_denom", "numer",
         "bez_a", "bez_b", "res_field", "residual", "embed", "z_root", "to_prev",
+        "expansions", "below",
     )
 
     def __init__(self, key, value, denom, rel_denom, numer, bez_a, bez_b,
-                 res_field, residual, embed, z_root, to_prev):
+                 res_field, residual, embed, z_root, to_prev, below=None):
         self.key = key
         self.value = value
         self.denom = denom
@@ -49,6 +55,10 @@ class Stage:
         self.embed = embed             # k_{s-1} -> k_s
         self.z_root = z_root           # image of the key in k_s (root of residual)
         self.to_prev = to_prev         # k_s -> list of k_{s-1} coefficients in powers of z_root
+        self.below = below             # the stage this one was built on, None at stage 1
+        # (f, q) -> TruncationData under the stages up to this one; sound because a
+        # Stage only ever sits on the prefix it was built on, which MacLaneChain checks
+        self.expansions = {}
 
 
 def _bezout(n: int, d: int):
@@ -62,11 +72,14 @@ def _bezout(n: int, d: int):
 
 @dataclass(frozen=True)
 class TruncationData:
-    """Value, argmin set and term values of f against the q-expansion."""
+    """The q-expansion of f valued by a chain: digits f_i, their values v(f_i),
+    term values v(f_i) + i*v(q), their minimum and its argmin set."""
 
     value: object
     s_set: frozenset
     term_values: tuple
+    digits: tuple
+    digit_values: tuple
 
 
 class MacLaneChain:
@@ -77,9 +90,11 @@ class MacLaneChain:
         self.stages = tuple(stages)
         if not self.stages:
             raise ValueError("a chain needs at least one stage")
-        for st in self.stages[:-1]:
-            if st.value is INF:
+        for below, st in zip((None,) + self.stages, self.stages):
+            if below is not None and below.value is INF:
                 raise ValueError("inf value before the last stage")
+            if st.below is not below:
+                raise ValueError("a stage sits on a prefix it was not built on")
 
     # -- construction ----------------------------------------------------------
 
@@ -178,45 +193,41 @@ class MacLaneChain:
     def valuate(self, f: Polynomial):
         if not isinstance(f, Polynomial) or f.field != self.base:
             raise ValueError("element/field mismatch")
-        if f.is_zero():
-            return INF
-        return self._val(f, len(self.stages))
+        return self._value(f, len(self.stages))
 
-    def _val(self, f, s):
+    def _value(self, f, s):
+        """Value of f under the first s stages."""
         if f.is_zero():
             return INF
         if s == 0:
             if f.degree() > 0:
                 raise InvariantError("nonconstant digit at stage 0")
             return self.base.valuation(f.constant_coeff())
+        return self._expansion(f, self.stages[s - 1].key, s).value
+
+    def _expansion(self, f, q, s) -> TruncationData:
+        """The q-expansion of f valued by the first s stages, memoized on stage s.
+        A digit of lower degree than key s has the same value under s - 1 stages."""
         st = self.stages[s - 1]
-        best = INF
-        for i, digit in enumerate(q_expansion(f, st.key).digits):
-            if digit.is_zero():
-                continue
-            dv = self._val(digit, s - 1)
-            tv = dv if i == 0 else dv + vmul(i, st.value)
-            if tv < best:
-                best = tv
-        return best
+        data = st.expansions.get((f, q))
+        if data is None:
+            digits = q_expansion(f, q).digits
+            vq = st.value if q == st.key else self._value(q, s)
+            m = st.key.degree()
+            dvs = tuple(self._value(d, s - 1 if d.degree() < m else s) for d in digits)
+            tvs = tuple(dv if i == 0 else dv + vmul(i, vq) for i, dv in enumerate(dvs))
+            best = min(tvs)
+            s_set = frozenset(i for i, tv in enumerate(tvs) if tv == best)
+            data = st.expansions[(f, q)] = TruncationData(best, s_set, tvs, digits, dvs)
+        return data
 
     def truncate(self, q: Polynomial, f: Polynomial) -> TruncationData:
-        """Term values of f along its q-expansion: the truncation min and argmin."""
+        """The q-expansion of f with its digits and terms valued by the chain."""
         if f.is_zero():
             raise ValueError("truncation of the zero polynomial")
-        if q.is_constant() or not q.is_monic():
-            raise ValueError("truncation base must be monic and nonconstant")
-        vq = self.valuate(q)
-        tvs = []
-        for i, digit in enumerate(q_expansion(f, q).digits):
-            if digit.is_zero():
-                tvs.append(INF)
-                continue
-            dv = self.valuate(digit)
-            tvs.append(dv if i == 0 else dv + vmul(i, vq))
-        best = min(tvs)
-        s_set = frozenset(i for i, tv in enumerate(tvs) if tv == best)
-        return TruncationData(best, s_set, tuple(tvs))
+        if q.field != self.base:
+            raise ValueError("element/field mismatch")
+        return self._expansion(f, q, len(self.stages))
 
     # -- graded ring tests ----------------------------------------------------------
 
@@ -251,16 +262,13 @@ class MacLaneChain:
         m = key.degree()
         if not q.is_monic() or q.degree() < 1 or q.degree() % m:
             return False
-        digits = q_expansion(q, key).digits
-        nexp = len(digits) - 1
-        if digits[nexp] != Polynomial.one(self.base):
-            return False
-        lam = self.stages[-1].value
-        if self.valuate(q) != vmul(nexp, lam):
+        ex = self.truncate(key, q)
+        top = len(ex.digits) - 1
+        if ex.digits[top] != Polynomial.one(self.base) or ex.value != vmul(top, self.last_value()):
             return False
         if q.degree() == m:
             return True
-        if 0 not in self.truncate(key, q).s_set:
+        if 0 not in ex.s_set:
             return False
         fbar, _, _, _ = self.reduce(q)
         return fbar.degree() >= 1 and ffield.is_irreducible(fbar)
@@ -302,38 +310,27 @@ class MacLaneChain:
         if st.value is INF:
             raise ValueError("reduction at a support stage")
         n, d = st.numer, st.rel_denom
-        terms = {}
-        for i, digit in enumerate(q_expansion(f, st.key).digits):
-            if digit.is_zero():
-                continue
-            if s == 1:
-                c = digit.constant_coeff()
-                v = self.base.valuation(c)
-                j = int(v)
-                cbar = st.res_field.from_int(self.base.residue(c * self.base.uniformizer() ** (-j)))
-                terms[i] = (i * n + j * d, cbar)
-            else:
-                c1, i1, j1, vc = self._reduce(digit, s - 1)
-                scaled = vc * st.denom
-                if scaled.denominator != 1:
-                    raise InvariantError("digit value outside the stage value group")
-                terms[i] = (int(scaled) + i * n, (c1, i1, j1))
-        vmin = min(v for v, _ in terms.values())
+        ex = self._expansion(f, st.key, s)
+        scaled = ex.value * st.denom
+        if scaled.denominator != 1:
+            raise InvariantError("digit value outside the stage value group")
+        vmin = int(scaled)
         i0 = (st.bez_a * vmin) % d if d > 1 else 0
         j0 = (vmin - i0 * n) // d
         coeffs = {}
-        for i in sorted(terms):
-            v, payload = terms[i]
-            if v != vmin:
-                continue
+        for i in sorted(ex.s_set):
             if (i - i0) % d:
                 raise InvariantError("argmin index off the residual lattice")
-            m = (i - i0) // d
-            cbar = payload if s == 1 else self._graded_map(s, *payload)
+            digit = ex.digits[i]
+            if s == 1:
+                c = digit.constant_coeff() * self.base.uniformizer() ** -int(ex.digit_values[i])
+                cbar = st.res_field.from_int(self.base.residue(c))
+            else:
+                cbar = self._graded_map(s, *self._reduce(digit, s - 1)[:3])
             if cbar.is_zero():
                 raise InvariantError("graded reduction produced zero")
-            coeffs[m] = cbar
-        return FFPoly.from_dict(st.res_field, coeffs), i0, j0, Fraction(vmin, st.denom)
+            coeffs[(i - i0) // d] = cbar
+        return FFPoly.from_dict(st.res_field, coeffs), i0, j0, ex.value
 
     def _graded_map(self, s, fprev, i1, j1):
         """Push a stage-(s-1) residual element in(key')^i1 in(u')^j1 fprev(y') into
@@ -464,4 +461,4 @@ def _build_stage(base, prefix_stages, key, value) -> Stage:
                 out.append(_sub.elem(coords[jj * _sub.k:(jj + 1) * _sub.k]))
             return out
 
-    return Stage(key, value, denom, rel, numer, a, b, big, residual, embed, z_root, to_prev)
+    return Stage(key, value, denom, rel, numer, a, b, big, residual, embed, z_root, to_prev, prev_st)

@@ -40,6 +40,8 @@ class FiniteField:
     def of(cls, p: int, k: int = 1) -> "FiniteField":
         if k < 1:
             raise ValueError("extension degree must be >= 1")
+        if _prime_divisors(p) != [p]:
+            raise ValueError(f"p must be prime, got {p}")
         return _field_of(p, k)
 
     # -- elements ------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import INF, format_value
-from .poly import Polynomial, q_expansion
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -87,22 +87,19 @@ class NewtonPolygon:
 
 
 def newton_polygon(chain, q: Polynomial, f: Polynomial) -> NewtonPolygon:
-    """Polygon of f in the q-expansion, digits valued by the chain.
+    """Polygon of f in the q-expansion, read off the chain's truncation data.
 
     Requires a nonzero constant digit of finite value (q does not divide f,
     even up to support) and a finite value on the leading digit.
     """
     if f.is_zero():
         raise ValueError("polygon of the zero polynomial")
-    digits = q_expansion(f, q).digits
-    values = [INF if d.is_zero() else chain.valuate(d) for d in digits]
+    values = chain.truncate(q, f).digit_values
     if values[0] is INF:
         raise ValueError("constant digit vanishes or lies in the support")
     if values[-1] is INF:
         raise ValueError("leading digit lies in the support")
-    return NewtonPolygon.from_points(
-        (i, v) for i, v in enumerate(values) if v is not INF
-    )
+    return NewtonPolygon.from_points(enumerate(values))
 
 
 def polygon_svg(poly: NewtonPolygon, width: int = 480, height: int = 360) -> str:

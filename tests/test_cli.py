@@ -166,6 +166,16 @@ class TestErrors:
         assert code == 2
         check("error", out)
 
+    @pytest.mark.parametrize("argv", [
+        ["valuate", "--poly", "x", "--chain", "x:1/0"],
+        ["augment", "--key", "x+1", "--alpha", "1/0"],
+    ])
+    def test_zero_denominator_value_exits_2(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 2
+        check("error", out)
+        assert out["error"]["type"] == "ValueError"
+
     @pytest.mark.parametrize("argv, expected", [
         (["extensions", "--p", "2", "--poly", "((x^2+x+1)^2+2)^2+4*x"], 0),
         (["valuate", "--poly", "x+))"], 2),

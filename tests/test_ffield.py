@@ -42,6 +42,11 @@ class TestFieldConstruction:
         assert first is FiniteField.of(11, 2)
         assert calls == searched and searched.count((11, 2)) == 1
 
+    @pytest.mark.parametrize("p, k", [(4, 1), (0, 1), (1, 1), (4, 2)])
+    def test_rejects_non_prime_characteristic(self, p, k):
+        with pytest.raises(ValueError, match="prime"):
+            FiniteField.of(p, k)
+
     def test_deterministic_modulus(self):
         # lexicographically first irreducible: z^2 + z + 1 over F_2
         f = FiniteField.of(2, 2)

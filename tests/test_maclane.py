@@ -1,5 +1,6 @@
 """Inductive valuation chains: evaluation, keys, augmentation, graded reduction."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from maclane import (
     InvariantError,
     MacLaneChain,
     Polynomial,
+    enumerate_extensions,
     format_value,
+    newton_polygon,
     parse_polynomial,
 )
 
@@ -93,6 +96,15 @@ class TestConstruction:
         c = chain(B3, "x:0; x^2+1:inf")
         with pytest.raises(ValueError):
             MacLaneChain(B3, tuple(reversed(c.stages)))
+
+    def test_stage_must_sit_on_its_own_prefix(self):
+        # a stage's memoized values hold only above the prefix it was built on
+        a = chain(B2, "x:1/2; x^2+2:3/2")
+        with pytest.raises(ValueError):
+            MacLaneChain(B2, (chain(B2, "x:1").stages[0], a.stages[1]))
+        with pytest.raises(ValueError):
+            MacLaneChain(B2, a.stages[1:])
+        assert MacLaneChain(B2, a.stages[:1]) == chain(B2, "x:1/2")
 
     def test_eq_hash(self):
         a = chain(B2, "x:1/2")
@@ -179,6 +191,40 @@ class TestTruncate:
             g.truncate(pol(B2, "2*x"), pol(B2, "x"))
         with pytest.raises(ValueError):
             g.truncate(pol(B2, "3"), pol(B2, "x"))
+
+
+class TestExpansionMemo:
+    def test_sibling_chains_keep_their_own_answers(self):
+        # two augmentations of one chain object share its Stage, and so its memo
+        prefix = chain(B2, "x:1/2")
+        key = pol(B2, "x^2+2")
+        a, b = prefix.augment(key, Fraction(3, 2)), prefix.augment(key, 2)
+        assert a.stages[0] is b.stages[0] is prefix.stages[0]
+        fs = [pol(B2, "x^4+4*x^2+20"), pol(B2, "x^5+2*x^3+x^2+6")]
+        qs = [key, pol(B2, "x^3")]
+
+        def answers(c):
+            return [(c.valuate(f), c.truncate(q, f), newton_polygon(c, q, f))
+                    for f in fs for q in qs]
+
+        first_a, first_b, again_a = answers(a), answers(b), answers(a)
+        assert first_a == again_a == answers(chain(B2, "x:1/2; x^2+2:3/2"))
+        assert first_b == answers(chain(B2, "x:1/2; x^2+2:2"))
+        assert (a.valuate(fs[0]), b.valuate(fs[0])) == (3, 4)
+        assert newton_polygon(a, qs[1], fs[1]) != newton_polygon(b, qs[1], fs[1])
+
+    def test_enumeration_expands_each_pair_once_per_prefix(self, monkeypatch):
+        calls = []
+        for name in ("chains", "newton", "approach"):
+            mod = importlib.import_module(f"maclane.{name}")
+            if hasattr(mod, "q_expansion"):
+                real = mod.q_expansion
+                monkeypatch.setattr(mod, "q_expansion",
+                                    lambda f, q, _real=real: calls.append((f, q)) or _real(f, q))
+        survey = enumerate_extensions(B2, pol(B2, "((x^2+x+1)^2+2)^2+4*x"))
+        assert sum(r.e * r.f for r in survey.reports) == 8
+        # one expansion per (f, key) and stage prefix; without the memo it is 310
+        assert 0 < len(calls) < 100
 
 
 class TestGradedRing:
