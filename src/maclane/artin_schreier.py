@@ -73,11 +73,15 @@ def artin_schreier_polynomial(base: BaseField, a) -> Polynomial:
 
 
 def split_residual(p: int):
-    """The residual y^p - y at a split witness, and its linear factors."""
+    """The residual y^p - y at a split witness, and its linear factors.
+
+    By Fermat the factors are y + c for c in F_p, each once; listed by c they
+    are already in ``ff_factor``'s order, so no factoring runs.
+    """
     gfp = FiniteField.of(p, 1)
-    fbar = FFPoly.y(gfp) ** p - FFPoly.y(gfp)
-    _, factors = ffield.ff_factor(fbar)
-    return fbar, factors
+    y = FFPoly.y(gfp)
+    fbar = y ** p - y
+    return fbar, [(y + gfp.from_int(c), 1) for c in range(p)]
 
 
 def improve_witness(base: BaseField, a, b):
@@ -88,14 +92,15 @@ def improve_witness(base: BaseField, a, b):
     """
     F = artin_schreier_polynomial(base, a)
     b = base._own(b)
-    w = base.valuation(F(b))
+    Fb = F(b)
+    w = base.valuation(Fb)
     if w is INF or w >= 0:
         raise ValueError("improvement applies only to negative values")
     wi = int(w)
     if wi % base.p:
         raise ValueError("value prime to p admits no improvement (ramified case)")
     c = base.uniformizer() ** (wi // base.p)
-    r = base.residue(F(b) * base.uniformizer() ** (-wi))
+    r = base.residue(Fb * base.uniformizer() ** (-wi))
     gfp = FiniteField.of(base.p, 1)
     eta = ffield.pth_root(gfp.from_int(-r))
     return b + c * base.from_int(eta.coeffs[0] if eta.coeffs else 0)
@@ -114,7 +119,8 @@ def classify(base: BaseField, a, budget: int = 16) -> ASReport:
     trace = []
     improvements = 0
     while True:
-        w = base.valuation(F(b))
+        Fb = F(b)
+        w = base.valuation(Fb)
         if trace and w is not INF and not w > trace[-1][1]:
             raise InvariantError("witness improvement did not increase the value")
         trace.append((b, w))
@@ -126,7 +132,7 @@ def classify(base: BaseField, a, budget: int = 16) -> ASReport:
                 ASCase.SplitP, p, a, b, w, 1, 1, p, 1, improvements,
                 tuple(trace), None, tuple(str(h) for h, _ in factors))
         if w == 0:
-            r = base.residue(F(b))
+            r = base.residue(Fb)
             if r % p == 0:
                 raise InvariantError("zero residue at value zero")
             gfp = FiniteField.of(p, 1)

@@ -203,25 +203,40 @@ def _padic(n: int, p: int) -> int:
 
 
 def _reduce_fpt(num, den, p):
+    """The normal form of num/den in F_p(t): coprime, with a monic denominator.
+
+    The common power of t is sliced off first, with no division.  What is left
+    is coprime already when the denominator is c * t^m (t no longer divides
+    both parts), so the gcd and its two divisions run only when the
+    denominator has a nonzero coefficient below its leading one.
+    """
     num = fppoly.trim(num, p)
     den = fppoly.trim(den, p)
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return ((), (1,))
-    g = fppoly.gcd(num, den, p)
-    num = fppoly.div_mod(num, g, p)[0]
-    den = fppoly.div_mod(den, g, p)[0]
-    # canonical form: monic denominator
-    c = pow(den[-1], -1, p)
-    num = fppoly.scal(c, num, p)
-    den = fppoly.scal(c, den, p)
+    j = min(fppoly.order(num), fppoly.order(den))
+    if j:
+        num, den = num[j:], den[j:]
+    if any(den[:-1]):
+        g = fppoly.gcd(num, den, p)
+        num = fppoly.div_mod(num, g, p)[0]
+        den = fppoly.div_mod(den, g, p)[0]
+    if den[-1] != 1:
+        c = pow(den[-1], -1, p)
+        num = fppoly.scal(c, num, p)
+        den = fppoly.scal(c, den, p)
     return (num, den)
 
 
 class BaseElem:
     """An element of a BaseField.  Payload is a Fraction for Q, a reduced
-    (numerator, monic denominator) pair of F_p[t] tuples for F_p(t)."""
+    (numerator, monic denominator) pair of F_p[t] tuples for F_p(t).
+
+    The F_p(t) pair is unique per element, so equality and hashing compare
+    payloads.  ``_reduce_fpt`` builds it; when the denominator is a power of
+    t times a constant, as for Laurent polynomials, that takes no gcd."""
 
     __slots__ = ("field", "payload")
 

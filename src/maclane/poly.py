@@ -11,6 +11,8 @@ and round-trips by construction.
 The text grammar accepted by ``parse_polynomial`` covers signed integers,
 ``t`` (function field only), ``x``, the operators ``+ - * / ^`` and
 parentheses.  Division is only defined when the divisor is constant in x.
+An exponent may not exceed ``MAX_EXPONENT`` in absolute value, nor raise the
+degree in x above it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import BaseElem, BaseField
+
+# Bound on |e| in ``a^e`` and on the degree that ``a^e`` reaches, checked
+# before the power is computed, so that a huge exponent is a parse error.
+MAX_EXPONENT = 1000
 
 
 class Polynomial:
@@ -359,6 +365,9 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             e = self.integer()
+            if abs(e) > MAX_EXPONENT or node.degree() * e > MAX_EXPONENT:
+                self.error(f"exponent {e} is over the bound {MAX_EXPONENT}"
+                           " on exponents and degrees")
             if e < 0:
                 if node.degree() > 0:
                     self.error("negative power of x")

@@ -9,8 +9,11 @@ from maclane import (
     INF,
     ASCase,
     BaseField,
+    FFPoly,
+    FiniteField,
     artin_schreier_polynomial,
     classify,
+    ff_factor,
     improve_witness,
     max_of_S,
     parse_element,
@@ -43,6 +46,17 @@ class TestSplitResidual:
         assert str(fbar) == "y^3+2*y"
         assert [str(h) for h, _ in factors] == ["y", "y+1", "y+2"]
         assert all(m == 1 for _, m in factors)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_factoring(self, p):
+        gfp = FiniteField.of(p, 1)
+        y = FFPoly.y(gfp)
+        fbar, factors = split_residual(p)
+        _, expected = ff_factor(y ** p - y)
+        assert fbar == y ** p - y
+        assert len(factors) == len(expected) == p
+        for (h, m), (g, n) in zip(factors, expected):
+            assert h == g and m == n
 
 
 class TestClassify:

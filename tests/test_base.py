@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maclane import INF, BaseField, format_value, parse_value
+from maclane import INF, BaseField, classify, format_value, fppoly, parse_element, parse_value
 from maclane.base import vmul
 
 
@@ -190,3 +192,75 @@ class TestElemArithmetic:
         t = b.t()
         assert str((t + b.one()) / t) == "(t+1)/t"
         assert str(t * t) == "t^2"
+
+
+@st.composite
+def fpt_quotients(draw):
+    """p, then numerator and denominator coefficient lists over F_p with
+    zeros at both ends; the denominator is nonzero and may carry t + 1."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def coeffs(nonzero):
+        body = st.lists(st.integers(0, p - 1), min_size=1, max_size=5)
+        if nonzero:
+            body = body.filter(any)
+        low = draw(st.integers(0, 4))
+        high = draw(st.integers(0, 2))
+        return [0] * low + draw(body) + [0] * high
+
+    num, den = coeffs(False), coeffs(True)
+    if draw(st.booleans()):
+        den = list(fppoly.mul(fppoly.trim(den, p), (1, 1), p))
+    if draw(st.booleans()):
+        common = fppoly.trim(coeffs(True), p)
+        num = list(fppoly.mul(fppoly.trim(num, p), common, p))
+        den = list(fppoly.mul(fppoly.trim(den, p), common, p))
+    return p, num, den
+
+
+class TestNormalForm:
+    """The F_p(t) payload checked by F_p[t] arithmetic alone."""
+
+    @staticmethod
+    def build(b, cs):
+        t = b.t()
+        out = b.zero()
+        for i, c in enumerate(cs):
+            out = out + b.from_int(c) * t ** i
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(fpt_quotients())
+    def test_reduced_pair_with_monic_denominator(self, case):
+        p, num, den = case
+        b = BaseField.rational_functions(p)
+        n, d = (self.build(b, num) / self.build(b, den)).payload
+        N, D = fppoly.trim(num, p), fppoly.trim(den, p)
+        assert fppoly.mul(n, D, p) == fppoly.mul(N, d, p)
+        assert d and d[-1] == 1
+        assert fppoly.gcd(n, d, p) == (1,)
+
+    @staticmethod
+    def count_gcds(monkeypatch):
+        calls = []
+        gcd = fppoly.gcd
+
+        def counted(a, b, p):
+            calls.append((a, b))
+            return gcd(a, b, p)
+
+        monkeypatch.setattr(fppoly, "gcd", counted)
+        return calls
+
+    def test_laurent_arithmetic_runs_no_gcd(self, monkeypatch):
+        b = BaseField.rational_functions(3)
+        calls = self.count_gcds(monkeypatch)
+        a = parse_element(b, "t^10+2*t^9+2*t^8+2*t^6+t^5+2*t^4+t^2+2/t+1/t^3")
+        classify(b, a)
+        assert calls == []
+
+    def test_general_denominator_runs_gcd(self, monkeypatch):
+        b = BaseField.rational_functions(3)
+        calls = self.count_gcds(monkeypatch)
+        assert (b.t() + 1).inverse() * (b.t() + 1) == b.one()
+        assert len(calls) >= 1

@@ -176,6 +176,16 @@ class TestErrors:
         check("error", out)
         assert out["error"]["type"] == "ValueError"
 
+    def test_huge_exponent_exits_2(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "maclane.cli", "valuate", "--poly", "x^100000000"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        out = json.loads(proc.stdout)
+        check("error", out)
+        assert out["error"]["type"] == "ValueError"
+
     @pytest.mark.parametrize("argv, expected", [
         (["extensions", "--p", "2", "--poly", "((x^2+x+1)^2+2)^2+4*x"], 0),
         (["valuate", "--poly", "x+))"], 2),

@@ -196,6 +196,18 @@ class TestParser:
         with pytest.raises(ValueError):
             parse_polynomial(B2, "")
 
+    @pytest.mark.parametrize("field, text", [
+        (B2, "x^1001"),
+        (F2T, "t^-1001"),
+        (B2, "(x^2+1)^501"),
+    ])
+    def test_exponent_bound(self, field, text):
+        with pytest.raises(ValueError, match="bound"):
+            parse_polynomial(field, text)
+
+    def test_exponent_at_bound(self):
+        assert parse_polynomial(B2, "x^1000") == Polynomial.x(B2) ** 1000
+
     def test_str_parse_round_trip(self):
         rng = random.Random(11)
         for _ in range(150):
