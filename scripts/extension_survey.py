@@ -35,15 +35,9 @@ class SurveyConfig:
     dot_dir: Path | None = None
 
 
-def make_base(kind: str, p: int) -> BaseField:
-    if kind == "Q":
-        return BaseField.rationals(p)
-    return BaseField.rational_functions(p)
-
-
 def run(config: SurveyConfig):
     for idx, (kind, p, text) in enumerate(config.panel):
-        base = make_base(kind, p)
+        base = BaseField.of(kind, p)
         f = parse_polynomial(base, text)
         survey = enumerate_extensions(base, f, budget=config.budget)
         print(f"\n{f}  over {base}   branches={len(survey.reports)}")

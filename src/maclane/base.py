@@ -1,15 +1,25 @@
-"""Base fields (Q, v_p) and (F_p(t), v_t) with exact arithmetic.
+"""Base fields (Q, v_p) and (F_p(t), v_t) with exact arithmetic, and the
+operator protocol shared by every field element.
 
 Values live in Q ∪ {inf}: exact ``fractions.Fraction`` plus the single
 sentinel ``INF``.  There are no floats anywhere in the valuation layer.
 ``INF`` absorbs addition and dominates every comparison, so ``min`` and
 sorting work on mixed lists out of the box.
+
+Fields are interned: ``BaseField.of(kind, p)`` builds one field per
+(kind, p), as ``ffield.FiniteField.of(p, k)`` does per (p, k), so every
+field check is an identity test.  The kind is decided there, once: Q is a
+``QField`` with ``QElem`` elements, F_p(t) an ``FptField`` with ``FptElem``
+elements.  ``FieldElem`` holds the operators that the Q, F_p(t) and
+GF(p^k) elements share; each element class adds only ``is_zero``,
+``__add__``, ``__neg__``, ``__mul__``, ``inverse`` and ``__str__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import fppoly
 
@@ -101,31 +111,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseField:
     """One of the two supported coefficient fields with its normalized valuation.
 
     kind "Q"   : rational numbers with the p-adic valuation v_p, v_p(p) = 1.
     kind "Fpt" : rational functions F_p(t) with the t-adic valuation v_t,
                  v_t(t) = 1.  Only the place t is supported.
+
+    Build fields with ``BaseField.of``; there is one field per (kind, p), so
+    fields compare and hash by identity.  ``kind`` is a read-only label.
     """
 
-    kind: str
     p: int
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "Fpt"):
-            raise ValueError(f"unknown base field kind {self.kind!r}")
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+    @classmethod
+    def of(cls, kind: str, p: int) -> "BaseField":
+        if kind not in _KINDS:
+            raise ValueError(f"unknown base field kind {kind!r}")
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        return _base_field_of(kind, p)
 
     @classmethod
     def rationals(cls, p: int) -> "BaseField":
-        return cls("Q", p)
+        return cls.of("Q", p)
 
     @classmethod
     def rational_functions(cls, p: int) -> "BaseField":
-        return cls("Fpt", p)
+        return cls.of("Fpt", p)
 
     # -- element constructors -------------------------------------------------
 
@@ -135,60 +149,87 @@ class BaseField:
     def one(self) -> "BaseElem":
         return self.from_int(1)
 
-    def from_int(self, n: int) -> "BaseElem":
-        if self.kind == "Q":
-            return BaseElem(self, Fraction(n))
-        return BaseElem(self, (fppoly.trim([n], self.p), (1,)))
-
-    def from_fraction(self, q: Fraction) -> "BaseElem":
-        if self.kind != "Q":
-            raise ValueError("from_fraction on a function field")
-        return BaseElem(self, Fraction(q))
-
-    def t(self) -> "BaseElem":
-        if self.kind != "Fpt":
-            raise ValueError("t only exists in F_p(t)")
-        return BaseElem(self, ((0, 1), (1,)))
-
-    def uniformizer(self) -> "BaseElem":
-        return self.from_int(self.p) if self.kind == "Q" else self.t()
-
     # -- valuation and residue ------------------------------------------------
 
     def valuation(self, a: "BaseElem"):
         """v_p or v_t of a, as a Fraction with denominator 1; inf at zero."""
-        self._own(a)
-        if a.is_zero():
+        if self._own(a).is_zero():
             return INF
-        if self.kind == "Q":
-            q: Fraction = a.payload
-            return Fraction(_padic(q.numerator, self.p) - _padic(q.denominator, self.p))
-        num, den = a.payload
-        return Fraction(fppoly.order(num) - fppoly.order(den))
+        return Fraction(self._order(a.payload))
 
     def residue(self, a: "BaseElem") -> int:
         """Image of a in the residue field F_p; requires valuation exactly 0."""
-        self._own(a)
         if self.valuation(a) != 0:
             raise ValueError("residue of an element with nonzero valuation")
-        if self.kind == "Q":
-            q: Fraction = a.payload
-            return (q.numerator % self.p) * pow(q.denominator, -1, self.p) % self.p
-        num, den = a.payload
-        return num[0] * pow(den[0], -1, self.p) % self.p
+        return self._residue(a.payload)
 
     def lift_residue(self, r: int) -> "BaseElem":
         return self.from_int(int(r) % self.p)
 
     def _own(self, a: "BaseElem") -> "BaseElem":
-        if not isinstance(a, BaseElem) or a.field != self:
+        if not isinstance(a, BaseElem) or a.field is not self:
             raise ValueError("element/field mismatch")
         return a
 
+
+@dataclass(frozen=True, eq=False)
+class QField(BaseField):
+    """Q with v_p; elements are ``QElem``."""
+
+    kind = "Q"
+
+    def from_int(self, n: int) -> "QElem":
+        return QElem(self, Fraction(n))
+
+    def from_fraction(self, q: Fraction) -> "QElem":
+        return QElem(self, Fraction(q))
+
+    def uniformizer(self) -> "QElem":
+        return self.from_int(self.p)
+
+    def _order(self, q: Fraction) -> int:
+        return _padic(q.numerator, self.p) - _padic(q.denominator, self.p)
+
+    def _residue(self, q: Fraction) -> int:
+        return (q.numerator % self.p) * pow(q.denominator, -1, self.p) % self.p
+
     def __str__(self):
-        if self.kind == "Q":
-            return f"Q(v_{self.p})"
+        return f"Q(v_{self.p})"
+
+
+@dataclass(frozen=True, eq=False)
+class FptField(BaseField):
+    """F_p(t) with v_t; elements are ``FptElem``."""
+
+    kind = "Fpt"
+
+    def from_int(self, n: int) -> "FptElem":
+        return FptElem(self, (fppoly.trim([n], self.p), (1,)))
+
+    def t(self) -> "FptElem":
+        return FptElem(self, ((0, 1), (1,)))
+
+    def uniformizer(self) -> "FptElem":
+        return self.t()
+
+    def _order(self, payload) -> int:
+        num, den = payload
+        return fppoly.order(num) - fppoly.order(den)
+
+    def _residue(self, payload) -> int:
+        num, den = payload
+        return num[0] * pow(den[0], -1, self.p) % self.p
+
+    def __str__(self):
         return f"F_{self.p}(t)"
+
+
+_KINDS = {"Q": QField, "Fpt": FptField}
+
+
+@lru_cache(maxsize=None)
+def _base_field_of(kind, p):
+    return _KINDS[kind](p)
 
 
 def _padic(n: int, p: int) -> int:
@@ -230,24 +271,21 @@ def _reduce_fpt(num, den, p):
     return (num, den)
 
 
-class BaseElem:
-    """An element of a BaseField.  Payload is a Fraction for Q, a reduced
-    (numerator, monic denominator) pair of F_p[t] tuples for F_p(t).
+class FieldElem:
+    """An element of an interned field, with the operators every kind shares.
 
-    The F_p(t) pair is unique per element, so equality and hashing compare
-    payloads.  ``_reduce_fpt`` builds it; when the denominator is a power of
-    t times a constant, as for Laurent polynomials, that takes no gcd."""
+    ``payload`` is the element's unique normal form in its field, so equality
+    and hashing compare payloads.  A subclass supplies ``is_zero``,
+    ``__add__``, ``__neg__``, ``__mul__``, ``inverse`` and ``__str__``; its
+    field supplies ``from_int`` and ``one``.  Ints coerce into the field;
+    an element of another field raises ValueError.
+    """
 
     __slots__ = ("field", "payload")
 
-    def __init__(self, field: BaseField, payload):
+    def __init__(self, field, payload):
         self.field = field
         self.payload = payload
-
-    def is_zero(self) -> bool:
-        if self.field.kind == "Q":
-            return self.payload == 0
-        return not self.payload[0]
 
     def __bool__(self):
         return not self.is_zero()
@@ -255,30 +293,14 @@ class BaseElem:
     def _coerce(self, other):
         if isinstance(other, int):
             return self.field.from_int(other)
-        if isinstance(other, BaseElem):
-            if other.field != self.field:
+        if isinstance(other, FieldElem):
+            if other.field is not self.field:
                 raise ValueError("element/field mismatch")
             return other
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self.field.kind == "Q":
-            return BaseElem(self.field, self.payload + o.payload)
-        p = self.field.p
-        (an, ad), (bn, bd) = self.payload, o.payload
-        num = fppoly.add(fppoly.mul(an, bd, p), fppoly.mul(bn, ad, p), p)
-        return BaseElem(self.field, _reduce_fpt(num, fppoly.mul(ad, bd, p), p))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.field.kind == "Q":
-            return BaseElem(self.field, -self.payload)
-        (n, d) = self.payload
-        return BaseElem(self.field, (fppoly.neg(n, self.field.p), d))
+    def __radd__(self, other):
+        return self + other
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -289,25 +311,8 @@ class BaseElem:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self.field.kind == "Q":
-            return BaseElem(self.field, self.payload * o.payload)
-        p = self.field.p
-        (an, ad), (bn, bd) = self.payload, o.payload
-        return BaseElem(self.field, _reduce_fpt(fppoly.mul(an, bn, p), fppoly.mul(ad, bd, p), p))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "BaseElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.field.kind == "Q":
-            return BaseElem(self.field, 1 / self.payload)
-        (n, d) = self.payload
-        return BaseElem(self.field, _reduce_fpt(d, n, self.field.p))
+    def __rmul__(self, other):
+        return self * other
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -333,42 +338,102 @@ class BaseElem:
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
-        if not isinstance(other, BaseElem) or other.field != self.field:
+        if not isinstance(other, FieldElem) or other.field is not self.field:
             return NotImplemented
         return self.payload == other.payload
 
     def __hash__(self):
-        return hash((self.field, self.payload))
-
-    def __str__(self):
-        if self.field.kind == "Q":
-            return str(self.payload)
-        num, den = self.payload
-        ns = _tpoly_str(num, self.field.p)
-        if den == (1,):
-            return ns
-        ds = _tpoly_str(den, self.field.p)
-        if len([c for c in num if c]) > 1:
-            ns = f"({ns})"
-        if len([c for c in den if c]) > 1:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        return hash(self.payload)
 
     def __repr__(self):
         return f"<{self} in {self.field}>"
 
 
-def _tpoly_str(cs, p) -> str:
-    if not cs:
-        return "0"
-    parts = []
-    for i in range(len(cs) - 1, -1, -1):
-        c = cs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            head = "" if c == 1 else f"{c}*"
-            parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
-    return "+".join(parts)
+class BaseElem(FieldElem):
+    """An element of a BaseField: a ``QElem`` or an ``FptElem``."""
+
+    __slots__ = ()
+
+
+class QElem(BaseElem):
+    """An element of Q; the payload is a Fraction."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return self.payload == 0
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return QElem(self.field, self.payload + o.payload)
+
+    def __neg__(self):
+        return QElem(self.field, -self.payload)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return QElem(self.field, self.payload * o.payload)
+
+    def inverse(self) -> "QElem":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return QElem(self.field, 1 / self.payload)
+
+    def __str__(self):
+        return str(self.payload)
+
+
+class FptElem(BaseElem):
+    """An element of F_p(t); the payload is a reduced (numerator, monic
+    denominator) pair of F_p[t] tuples.
+
+    ``_reduce_fpt`` builds the pair; when the denominator is a power of t
+    times a constant, as for Laurent polynomials, that takes no gcd."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.payload[0]
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        p = self.field.p
+        (an, ad), (bn, bd) = self.payload, o.payload
+        num = fppoly.add(fppoly.mul(an, bd, p), fppoly.mul(bn, ad, p), p)
+        return FptElem(self.field, _reduce_fpt(num, fppoly.mul(ad, bd, p), p))
+
+    def __neg__(self):
+        (n, d) = self.payload
+        return FptElem(self.field, (fppoly.neg(n, self.field.p), d))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        p = self.field.p
+        (an, ad), (bn, bd) = self.payload, o.payload
+        return FptElem(self.field, _reduce_fpt(fppoly.mul(an, bn, p), fppoly.mul(ad, bd, p), p))
+
+    def inverse(self) -> "FptElem":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        (n, d) = self.payload
+        return FptElem(self.field, _reduce_fpt(d, n, self.field.p))
+
+    def __str__(self):
+        num, den = self.payload
+        ns = fppoly.to_str(num, "t")
+        if den == (1,):
+            return ns
+        ds = fppoly.to_str(den, "t")
+        if len([c for c in num if c]) > 1:
+            ns = f"({ns})"
+        if len([c for c in den if c]) > 1:
+            ds = f"({ds})"
+        return f"{ns}/{ds}"

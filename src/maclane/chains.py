@@ -101,7 +101,7 @@ class MacLaneChain:
     @classmethod
     def stage_one(cls, base: BaseField, key: Polynomial, value) -> "MacLaneChain":
         """Build a one-stage chain (key, value); key must be monic of degree 1."""
-        if key.field != base:
+        if key.field is not base:
             raise ValueError("element/field mismatch")
         if key.degree() != 1 or not key.is_monic():
             raise ValueError("the first key must be monic of degree 1")
@@ -175,7 +175,7 @@ class MacLaneChain:
     def __eq__(self, other):
         if not isinstance(other, MacLaneChain):
             return NotImplemented
-        return self.base == other.base and [
+        return self.base is other.base and [
             (st.key, st.value) for st in self.stages
         ] == [(st.key, st.value) for st in other.stages]
 
@@ -191,7 +191,7 @@ class MacLaneChain:
     # -- evaluation ---------------------------------------------------------------
 
     def valuate(self, f: Polynomial):
-        if not isinstance(f, Polynomial) or f.field != self.base:
+        if not isinstance(f, Polynomial) or f.field is not self.base:
             raise ValueError("element/field mismatch")
         return self._value(f, len(self.stages))
 
@@ -225,7 +225,7 @@ class MacLaneChain:
         """The q-expansion of f with its digits and terms valued by the chain."""
         if f.is_zero():
             raise ValueError("truncation of the zero polynomial")
-        if q.field != self.base:
+        if q.field is not self.base:
             raise ValueError("element/field mismatch")
         return self._expansion(f, q, len(self.stages))
 
@@ -252,7 +252,7 @@ class MacLaneChain:
         return 0 not in self.truncate(q, f).s_set
 
     def is_key_polynomial(self, q: Polynomial) -> bool:
-        if not isinstance(q, Polynomial) or q.field != self.base:
+        if not isinstance(q, Polynomial) or q.field is not self.base:
             raise ValueError("element/field mismatch")
         if q.is_zero():
             raise ValueError("the zero polynomial is not a candidate key")
@@ -353,7 +353,7 @@ class MacLaneChain:
             raise ValueError("lift at a support stage")
         if h.is_zero():
             raise ValueError("lift of zero")
-        if h.field != st.res_field:
+        if h.field is not st.res_field:
             raise ValueError("residual lives in the wrong residue field")
         if i is None:
             i, j = 0, st.numer * h.degree()
@@ -394,7 +394,7 @@ class MacLaneChain:
         Returns "le", "ge", "equal-on-sample" or "incomparable-on-sample".
         A sample verdict never certifies a global order.
         """
-        if not isinstance(other, MacLaneChain) or other.base != self.base:
+        if not isinstance(other, MacLaneChain) or other.base is not self.base:
             raise ValueError("chains over different base fields")
         sample = list(sample)
         if not sample:

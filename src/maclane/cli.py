@@ -31,12 +31,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _make_base(args) -> BaseField:
-    if args.base == "Q":
-        return BaseField.rationals(args.p)
-    return BaseField.rational_functions(args.p)
-
-
 def _chain(args, base) -> MacLaneChain:
     return MacLaneChain.parse(base, args.chain)
 
@@ -230,7 +224,7 @@ def main(argv=None) -> int:
     args = None
     try:
         args = parser.parse_args(argv)
-        out, code = args.func(args, _make_base(args)), 0
+        out, code = args.func(args, BaseField.of(args.base, args.p)), 0
     except (_UsageError, ValueError) as e:
         out, code = {"error": {"type": "ValueError", "message": str(e)}}, 2
     except InvariantError as e:

@@ -3,8 +3,10 @@
 Fields are represented as F_p[w]/(modulus) with a deterministic modulus:
 the lexicographically first monic irreducible of degree k (ordered by the
 tuple of non-leading coefficients), found once per (p, k) by the Rabin test
-over GF(p) and cached with the field.  Elements are little-endian ``fppoly``
-coefficient tuples.  Polynomials over a field are ``FFPoly``, a subclass of
+over GF(p) and cached with the field.  ``FiniteField.of`` builds one field
+per (p, k), so fields compare by identity.  Elements are ``FFElem``, a
+``base.FieldElem`` whose payload is a little-endian ``fppoly`` coefficient
+tuple.  Polynomials over a field are ``FFPoly``, a subclass of
 ``poly.Polynomial`` printed in y.  Equal-degree splitting uses an explicit
 seeded random source, so every factorization is reproducible; with no source
 given a fresh ``random.Random(0)`` is used.
@@ -12,10 +14,12 @@ given a fresh ``random.Random(0)`` is used.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 
 from . import fppoly
+from .base import FieldElem
 from .poly import Polynomial
 
 
@@ -68,64 +72,29 @@ class FiniteField:
         return self.elem((0, 1))
 
     def elements(self):
-        for code in range(self.order):
-            digits = []
-            c = code
-            for _ in range(self.k):
-                digits.append(c % self.p)
-                c //= self.p
-            yield FFElem(self, fppoly.trim(digits, self.p))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        for cs in _digit_vectors(self.p, self.k):
+            yield FFElem(self, fppoly.trim(cs, self.p))
 
     def __repr__(self):
         if self.k == 1:
             return f"GF({self.p})"
-        return f"GF({self.p}^{self.k}, modulus={_wstr(self.modulus)})"
+        return f"GF({self.p}^{self.k}, modulus={fppoly.to_str(self.modulus, 'w')})"
 
 
-def _wstr(cs) -> str:
-    parts = []
-    for i in range(len(cs) - 1, -1, -1):
-        c = cs[i]
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            head = "" if c == 1 else f"{c}*"
-            parts.append(f"{head}w" + (f"^{i}" if i > 1 else ""))
-    return "+".join(parts) or "0"
+def _digit_vectors(p, k):
+    """Every (c_0, ..., c_{k-1}) over F_p, ordered by the integer sum c_i p^i."""
+    return (cs[::-1] for cs in itertools.product(range(p), repeat=k))
 
 
-class FFElem:
-    __slots__ = ("field", "coeffs")
+class FFElem(FieldElem):
+    """An element of GF(p^k); the payload, also named ``coeffs``, is its
+    residue modulo the field's modulus as an ``fppoly`` tuple in w."""
 
-    def __init__(self, field: FiniteField, coeffs):
-        self.field = field
-        self.coeffs = coeffs
+    __slots__ = ()
+    coeffs = FieldElem.payload
 
     def is_zero(self):
         return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, FFElem):
-            if other.field != self.field:
-                raise ValueError("finite field mismatch")
-            return other
-        return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -133,19 +102,8 @@ class FFElem:
             return o
         return FFElem(self.field, fppoly.add(self.coeffs, o.coeffs, self.field.p))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return FFElem(self.field, fppoly.neg(self.coeffs, self.field.p))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -153,8 +111,6 @@ class FFElem:
             return o
         prod = fppoly.mul(self.coeffs, o.coeffs, self.field.p)
         return FFElem(self.field, fppoly.div_mod(prod, self.field.modulus, self.field.p)[1])
-
-    __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
@@ -170,60 +126,12 @@ class FFElem:
         inv_lead = pow(a[-1], -1, p)
         return FFElem(self.field, fppoly.div_mod(fppoly.scal(inv_lead, sa, p), m, p)[1])
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        r = self.field.one()
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        if not isinstance(other, FFElem) or other.field != self.field:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
     def key(self):
         """Deterministic sort key: coefficient vector padded to field degree."""
         return tuple(self.coeffs[i] if i < len(self.coeffs) else 0 for i in range(self.field.k))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        if self.field.k == 1:
-            return str(self.coeffs[0])
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}g" + (f"^{i}" if i > 1 else ""))
-        return "+".join(parts)
-
-    def __repr__(self):
-        return f"<{self} in {self.field!r}>"
+        return fppoly.to_str(self.coeffs, "g")
 
 
 def pth_root(a: FFElem) -> FFElem:
@@ -319,13 +227,8 @@ def first_irreducible(p, k):
     if k == 1:
         return (0, 1)
     prime = FiniteField.of(p, 1)
-    for code in range(p ** k):
-        digits = []
-        c = code
-        for _ in range(k):
-            digits.append(c % p)
-            c //= p
-        f = tuple(digits) + (1,)
+    for cs in _digit_vectors(p, k):
+        f = cs + (1,)
         if is_irreducible(FFPoly.from_ints(prime, f)):
             return f
     raise RuntimeError("no irreducible found; p is not prime?")  # pragma: no cover
@@ -477,7 +380,7 @@ def embed_into(sub: FiniteField, big: FiniteField):
     """
     if sub.p != big.p or big.k % sub.k:
         raise ValueError("no embedding")
-    if sub == big:
+    if sub is big:
         return lambda a: a
     mod_poly = FFPoly.from_ints(big, sub.modulus)
     roots = ff_roots(mod_poly)

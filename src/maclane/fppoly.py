@@ -4,7 +4,9 @@ Index i holds the coefficient of z^i, reduced mod p, with no trailing
 zeros; the zero polynomial is the empty tuple.  Every function takes the
 prime p explicitly.  These are the integer kernel under the elements of
 F_p(t) (numerator and denominator in t) and of GF(p^k) (residues modulo the
-field's modulus); they are not part of the public API.  Polynomials with
+field's modulus); they are not part of the public API.  ``to_str`` is the
+one printer of such tuples, in the variable its caller names: t for F_p(t),
+w for a field modulus, g for a GF(p^k) element.  Polynomials with
 field-element coefficients are ``poly.Polynomial`` and ``ffield.FFPoly``.
 """
 
@@ -82,3 +84,18 @@ def order(a):
         if c:
             return i
     raise ValueError("order of zero polynomial")
+
+
+def to_str(cs, var):
+    """cs as a polynomial in var, highest degree first: ``2*t^2+t+1``; "0" if empty."""
+    parts = []
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
+        if not c:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            head = "" if c == 1 else f"{c}*"
+            parts.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+    return "+".join(parts) or "0"

@@ -12,7 +12,9 @@ The text grammar accepted by ``parse_polynomial`` covers signed integers,
 ``t`` (function field only), ``x``, the operators ``+ - * / ^`` and
 parentheses.  Division is only defined when the divisor is constant in x.
 An exponent may not exceed ``MAX_EXPONENT`` in absolute value, nor raise the
-degree in x above it.
+degree in x above it; over F_p(t) it may not raise the t-degree of a
+numerator or denominator above it either.  A product may not have degree in
+x above ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import BaseElem, BaseField
+from .base import BaseElem, BaseField, FieldElem
 
-# Bound on |e| in ``a^e`` and on the degree that ``a^e`` reaches, checked
-# before the power is computed, so that a huge exponent is a parse error.
+# Bound on |e| in ``a^e``, on the degree in x of a power or a product and on
+# the t-degree of a power, checked before the result is computed, so that a
+# huge input is a parse error.
 MAX_EXPONENT = 1000
 
 
@@ -113,7 +116,7 @@ class Polynomial:
         """other as a polynomial of this class and field: ints and field
         elements become constants, anything else raises ValueError."""
         if isinstance(other, Polynomial):
-            if type(other) is type(self) and other.field == self.field:
+            if type(other) is type(self) and other.field is self.field:
                 return other
         elif isinstance(other, int):
             return type(self).from_ints(self.field, (other,))
@@ -226,7 +229,7 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, int) or _is_elem_of(other, self.field):
             other = self._check(other)
-        if type(other) is not type(self) or other.field != self.field:
+        if type(other) is not type(self) or other.field is not self.field:
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -273,7 +276,7 @@ class Polynomial:
 
 def _is_elem_of(c, field) -> bool:
     """Whether c is an element (not a polynomial) of field."""
-    return not isinstance(c, Polynomial) and getattr(c, "field", None) == field
+    return isinstance(c, FieldElem) and c.field is field
 
 
 @dataclass(frozen=True)
@@ -338,7 +341,10 @@ class _Parser:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                node = node * self.unary()
+                rhs = self.unary()
+                if node.degree() + rhs.degree() > MAX_EXPONENT:
+                    self.error(f"product degree in x is over the bound {MAX_EXPONENT}")
+                node = node * rhs
             elif ch == "/":
                 self.pos += 1
                 den = self.unary()
@@ -368,6 +374,8 @@ class _Parser:
             if abs(e) > MAX_EXPONENT or node.degree() * e > MAX_EXPONENT:
                 self.error(f"exponent {e} is over the bound {MAX_EXPONENT}"
                            " on exponents and degrees")
+            if self.field.kind == "Fpt" and _t_degree(node) * abs(e) > MAX_EXPONENT:
+                self.error(f"exponent {e} takes the degree in t over the bound {MAX_EXPONENT}")
             if e < 0:
                 if node.degree() > 0:
                     self.error("negative power of x")
@@ -411,6 +419,11 @@ class _Parser:
         if start == self.pos:
             self.error("expected an integer")
         return sign * int(self.text[start:self.pos])
+
+
+def _t_degree(f: Polynomial) -> int:
+    """The largest t-degree of a numerator or denominator among f's coefficients."""
+    return max((len(part) - 1 for c in f.coeffs for part in c.payload), default=0)
 
 
 def parse_polynomial(field: BaseField, text: str) -> Polynomial:

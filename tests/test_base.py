@@ -1,12 +1,13 @@
 """Base fields, values with infinity, and exact element arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maclane import INF, BaseField, classify, format_value, fppoly, parse_element, parse_value
+from maclane import INF, BaseField, FiniteField, classify, format_value, fppoly, parse_element, parse_value
 from maclane.base import vmul
 
 
@@ -264,3 +265,34 @@ class TestNormalForm:
         calls = self.count_gcds(monkeypatch)
         assert (b.t() + 1).inverse() * (b.t() + 1) == b.one()
         assert len(calls) >= 1
+
+
+class TestInterning:
+    def test_one_field_per_kind_and_prime(self):
+        assert BaseField.rationals(2) is BaseField.of("Q", 2)
+        assert BaseField.rational_functions(3) is BaseField.of("Fpt", 3)
+        fields = [BaseField.of(kind, p) for kind in ("Q", "Fpt") for p in (2, 3, 5)]
+        assert len({id(f) for f in fields}) == 6
+
+    @pytest.mark.parametrize("kind, p", [("R", 2), ("Q", 4), ("Fpt", 1)])
+    def test_of_rejects_bad_arguments(self, kind, p):
+        with pytest.raises(ValueError):
+            BaseField.of(kind, p)
+
+    def test_kind_is_read_only(self):
+        with pytest.raises(AttributeError):
+            BaseField.of("Q", 2).kind = "Fpt"
+
+    @pytest.mark.parametrize("a, b", [
+        (BaseField.rationals(2).one(), BaseField.rationals(3).one()),
+        (BaseField.rational_functions(2).t(), BaseField.rational_functions(3).t()),
+        (BaseField.rationals(2).one(), BaseField.rational_functions(2).one()),
+        (FiniteField.of(2, 2).gen(), FiniteField.of(2, 3).gen()),
+        (FiniteField.of(2).one(), BaseField.rational_functions(2).one()),
+    ])
+    def test_mixing_fields_raises(self, a, b):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ValueError, match="element/field mismatch"):
+                op(a, b)
+            with pytest.raises(ValueError, match="element/field mismatch"):
+                op(b, a)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,16 @@ class TestErrors:
         check("error", out)
         assert out["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("argv", [
+        ["valuate", "--poly", "x^1000*x^1000"],
+        ["valuate", "--base", "Fpt", "--p", "2", "--poly", "(t^999)^999"],
+    ])
+    def test_size_bound_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        check("error", out)
+        assert "bound" in out["error"]["message"]
+
     @pytest.mark.parametrize("argv, expected", [
         (["extensions", "--p", "2", "--poly", "((x^2+x+1)^2+2)^2+4*x"], 0),
         (["valuate", "--poly", "x+))"], 2),
@@ -219,3 +230,48 @@ class TestErrors:
         out = json.loads(capsys.readouterr().out)
         check("error", out)
         assert out["error"]["type"] == "InvariantError"
+
+
+FPT2 = ["--base", "Fpt", "--p", "2"]
+FPT3 = ["--base", "Fpt", "--p", "3"]
+
+# Every subcommand over both bases, in-process; stdout and exit codes are
+# pinned in tests/golden/cli_main.txt.
+GOLDEN_ARGVS = [
+    ["valuate", "--chain", "x:1/2; x^2+2:3/2", "--poly", "x^4+4"],
+    ["valuate", "--p", "3", "--poly", "(2/3)*x^3-x/5+7/9"],
+    ["valuate", "--poly", "x^2+"],
+    ["expand", "--p", "3", "--poly", "(2/3)*x^3-x/5+7/9", "--key", "x+1"],
+    ["polygon", "--p", "5", "--poly", "x^5+50*x-1", "--key", "x-1"],
+    ["augment", "--p", "3", "--key", "x^2+1", "--alpha", "1"],
+    ["augment", "--chain", "x:1/2", "--key", "x^2+2", "--alpha", "inf"],
+    ["approach", "--poly", "x^2+2"],
+    ["max-aug", "--p", "5", "--poly", "x^2+1", "--key", "x+2"],
+    ["factor", "--p", "3", "--chain", "x:0; x^2+1:1", "--poly", "(x^2+1)^2+9*x"],
+    ["factor", "--p", "5", "--poly", "x^2+1"],
+    ["extensions", "--poly", "x^4+2*x^3+4*x^2+4*x+2"],
+    ["extensions", "--poly", "((x^2+x+1)^2+2)^2+4*x"],
+    ["artin-schreier", "--a", "2"],
+    ["valuate", *FPT3, "--chain", "x:1/3", "--poly", "x^3+t"],
+    ["valuate", *FPT3, "--poly", "x^2+(t+1)/(t^2+2)*x+1/(t+1)"],
+    ["expand", *FPT2, "--poly", "x^3+x/(t+1)+t", "--key", "x+1"],
+    ["polygon", *FPT2, "--poly", "x^2+x+1/t"],
+    ["augment", *FPT3, "--key", "x", "--alpha", "1/3"],
+    ["augment", *FPT2, "--key", "x^2+x+1", "--alpha", "1"],
+    ["approach", *FPT2, "--poly", "x^2+x+t"],
+    ["max-aug", *FPT2, "--poly", "x^2+x+t", "--key", "x+1"],
+    ["factor", *FPT2, "--poly", "x^2+x+t"],
+    ["extensions", *FPT3, "--poly", "x^3+2*x+2*t"],
+    ["extensions", *FPT2, "--poly", "(x^2+x+1)^2+t"],
+    ["artin-schreier", *FPT2, "--a", "1/t^2"],
+    ["artin-schreier", *FPT3, "--a", "1/(t^3+t)"],
+    ["artin-schreier", "--base", "Fpt", "--p", "5", "--a", "1/t"],
+]
+
+
+def test_golden_outputs(capsys):
+    lines = []
+    for argv in GOLDEN_ARGVS:
+        code = main(argv)
+        lines.append(f"$ maclane {shlex.join(argv)}\nexit {code}\n{capsys.readouterr().out}")
+    assert "".join(lines) == (Path(__file__).resolve().parent / "golden" / "cli_main.txt").read_text()

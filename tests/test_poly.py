@@ -208,6 +208,23 @@ class TestParser:
     def test_exponent_at_bound(self):
         assert parse_polynomial(B2, "x^1000") == Polynomial.x(B2) ** 1000
 
+    @pytest.mark.parametrize("field, text", [
+        (B2, "x^1000*x^1000"),
+        (B2, "x^500*x^501"),
+        (F2T, "(t^999)^999"),
+        (F2T, "(1/(t^11+1))^-91"),
+        (F3T, "(t^3*x)^334"),
+    ])
+    def test_size_bound(self, field, text):
+        with pytest.raises(ValueError, match="bound"):
+            parse_polynomial(field, text)
+
+    def test_size_at_bound(self):
+        assert parse_polynomial(B2, "x^500*x^500") == Polynomial.x(B2) ** 1000
+        u = F2T.t() ** 10 + 1
+        assert parse_polynomial(F2T, "(t^10)^100") == Polynomial.constant(F2T.t() ** 1000)
+        assert parse_polynomial(F2T, "(1/(t^10+1))^-100") == Polynomial.constant(u ** 100)
+
     def test_str_parse_round_trip(self):
         rng = random.Random(11)
         for _ in range(150):

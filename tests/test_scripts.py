@@ -19,3 +19,9 @@ def test_artin_schreier_survey(capsys):
     for p in (2, 3, 5, 7):
         survey.run(survey.GridConfig(p, -12, 4))
     assert capsys.readouterr().out == (GOLDEN / "as_survey.txt").read_text()
+
+
+def test_extension_survey(capsys):
+    survey = load_script("extension_survey")
+    survey.run(survey.SurveyConfig(panel=survey.DEFAULT_PANEL))
+    assert capsys.readouterr().out == (GOLDEN / "extension_survey.txt").read_text()
