@@ -18,7 +18,6 @@ class GridConfig:
     p: int = 2
     kmin: int = -6
     kmax: int = 3
-    budget: int = 16
 
 
 def run(config: GridConfig):
@@ -36,12 +35,8 @@ def run(config: GridConfig):
         else:
             text = f"t^{k}" if k > 0 else f"1/t^{-k}"
         a = parse_element(base, text)
-        r = classify(base, a, budget=config.budget)
-        if r.case is ASCase.SplitP:
-            ms = "unbounded"
-        else:
-            got = max_of_S(r)
-            ms = "none (budget)" if got is None else f"{got[0]} at b={got[1]}"
+        r = classify(base, a)
+        ms = "unbounded" if r.case is ASCase.SplitP else "{} at b={}".format(*max_of_S(r))
         print(f"{text:>12}  {r.case.value:<20} {r.e:>2} {r.f:>2} {r.g:>2} "
               f"{r.improvements:>4}  {ms}")
 
@@ -51,9 +46,8 @@ def main():
     ap.add_argument("--p", type=int, default=GridConfig.p)
     ap.add_argument("--kmin", type=int, default=GridConfig.kmin)
     ap.add_argument("--kmax", type=int, default=GridConfig.kmax)
-    ap.add_argument("--budget", type=int, default=GridConfig.budget)
     args = ap.parse_args()
-    run(GridConfig(p=args.p, kmin=args.kmin, kmax=args.kmax, budget=args.budget))
+    run(GridConfig(p=args.p, kmin=args.kmin, kmax=args.kmax))
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ DEFAULT_PANEL = [
 @dataclass
 class SurveyConfig:
     panel: list
-    budget: int = 16
     dot_dir: Path | None = None
 
 
@@ -39,7 +38,7 @@ def run(config: SurveyConfig):
     for idx, (kind, p, text) in enumerate(config.panel):
         base = BaseField.of(kind, p)
         f = parse_polynomial(base, text)
-        survey = enumerate_extensions(base, f, budget=config.budget)
+        survey = enumerate_extensions(base, f)
         print(f"\n{f}  over {base}   branches={len(survey.reports)}")
         for r in survey.reports:
             cert = "certified" if r.terminal else "lower bound"
@@ -59,14 +58,13 @@ def main():
     ap.add_argument("--base", choices=["Q", "Fpt"])
     ap.add_argument("--p", type=int, default=2)
     ap.add_argument("--poly")
-    ap.add_argument("--budget", type=int, default=16)
     ap.add_argument("--dot-dir", type=Path, default=None)
     args = ap.parse_args()
     if args.poly:
         panel = [(args.base or "Q", args.p, args.poly)]
     else:
         panel = DEFAULT_PANEL
-    run(SurveyConfig(panel=panel, budget=args.budget, dot_dir=args.dot_dir))
+    run(SurveyConfig(panel=panel, dot_dir=args.dot_dir))
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ yet a unit: those are exactly the valuations that can still be augmented to
 increase the value of F.  This module decides membership, computes the
 maximal augmentation value for a key (the first slope of the Newton polygon
 of F in that key), factors initial forms into key initial forms, and
-enumerates the branches of the augmentation tree up to a budget, reporting
-per-branch ramification and residue degree.
+enumerates the branches of the augmentation tree to at most ``MAX_DEPTH``
+augmentations, reporting per-branch ramification and residue degree.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from .poly import Polynomial
 from . import ffield
 from .chains import MacLaneChain
 from .newton import newton_polygon
+
+# Depth cap of the augmentation tree, echoed as "budget" in the survey JSON.
+# A branch that reaches it is reported as non-terminal "budget-exhausted".
+MAX_DEPTH = 16
 
 
 # -- cheap reducibility screen ------------------------------------------------
@@ -252,7 +256,7 @@ class BranchReport:
     terminal=True means certified: either a support chain (the branch carries
     the valuation with value inf on f) or a stabilized chain whose argmin
     spread is one, pinning a single extension.  terminal=False means the
-    budget ran out; e and f are then lower bounds.
+    branch reached ``MAX_DEPTH``; e and f are then lower bounds.
     """
 
     chain: MacLaneChain
@@ -278,7 +282,6 @@ class BranchReport:
 class ExtensionSurvey:
     base: object
     poly: Polynomial
-    budget: int
     reports: tuple
     tree: AugmentationTree
 
@@ -287,7 +290,7 @@ class ExtensionSurvey:
         return {
             "base": str(self.base),
             "poly": str(self.poly),
-            "budget": self.budget,
+            "budget": MAX_DEPTH,
             "count_lower_bound": len(self.reports),
             "all_terminal": certified,
             "sum_ef": sum(r.e * r.f for r in self.reports),
@@ -301,7 +304,7 @@ def count_extensions_lower_bound(survey: ExtensionSurvey) -> int:
     return len(survey.reports)
 
 
-def enumerate_extensions(base, f: Polynomial, budget: int = 16) -> ExtensionSurvey:
+def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
     """Enumerate extension branches for irreducible monic f.
 
     Branching starts from the sides of the Newton polygon of f in x (one
@@ -317,8 +320,6 @@ def enumerate_extensions(base, f: Polynomial, budget: int = 16) -> ExtensionSurv
     the branch closes immediately with the support chain [chain; (f, inf)].
     """
     screen_irreducible(f)
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     tree = AugmentationTree()
     root = tree.add_node(f"{f}  over  {base}")
     reports = []
@@ -328,7 +329,7 @@ def enumerate_extensions(base, f: Polynomial, budget: int = 16) -> ExtensionSurv
         nid = tree.add_node(f"{chain}", terminal=True)
         tree.add_edge(root, nid, "deg 1")
         reports.append(BranchReport(chain, True, "support", 1, 1, 1))
-        return ExtensionSurvey(base, f, budget, tuple(reports), tree)
+        return ExtensionSurvey(base, f, tuple(reports), tree)
 
     def explore(chain, depth, parent, edge_label):
         vf = chain.valuate(f)
@@ -358,7 +359,7 @@ def enumerate_extensions(base, f: Polynomial, budget: int = 16) -> ExtensionSurv
             child = chain.augment(f, INF)
             explore(child, depth + 1, nid, "f is key; value inf")
             return
-        if depth >= budget:
+        if depth >= MAX_DEPTH:
             reports.append(BranchReport(
                 chain, False, "budget-exhausted",
                 chain.ramification_index(), chain.inertia_degree(), depth))
@@ -374,4 +375,4 @@ def enumerate_extensions(base, f: Polynomial, budget: int = 16) -> ExtensionSurv
         alpha = -side.slope
         seed = MacLaneChain.stage_one(base, Polynomial.x(base), alpha)
         explore(seed, 1, root, f"side slope {format_value(side.slope)}")
-    return ExtensionSurvey(base, f, budget, tuple(reports), tree)
+    return ExtensionSurvey(base, f, tuple(reports), tree)

@@ -426,6 +426,11 @@ class FptElem(BaseElem):
         (n, d) = self.payload
         return FptElem(self.field, _reduce_fpt(d, n, self.field.p))
 
+    def __hash__(self):
+        # a constant hashes like the int c in range(p) that it equals
+        num, den = self.payload
+        return hash(sum(num) if len(num) < 2 and den == (1,) else self.payload)
+
     def __str__(self):
         num, den = self.payload
         ns = fppoly.to_str(num, "t")

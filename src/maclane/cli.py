@@ -135,7 +135,7 @@ def cmd_factor(args, base):
 
 def cmd_extensions(args, base):
     f = parse_polynomial(base, args.poly)
-    survey = ap.enumerate_extensions(base, f, budget=args.budget)
+    survey = ap.enumerate_extensions(base, f)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(survey.tree.to_dot())
@@ -143,15 +143,7 @@ def cmd_extensions(args, base):
 
 
 def cmd_artin_schreier(args, base):
-    a = parse_element(base, args.poly)
-    report = ash.classify(base, a, budget=args.budget)
-    out = report.to_json()
-    try:
-        ms = ash.max_of_S(report)
-        out["max_of_s"] = None if ms is None else [format_value(ms[0]), str(ms[1])]
-    except ValueError:
-        out["max_of_s"] = "unbounded"
-    return out
+    return ash.classify(base, parse_element(base, args.poly)).to_json()
 
 
 def build_parser() -> _Parser:
@@ -178,9 +170,6 @@ def build_parser() -> _Parser:
                             help="key polynomial (default x)")
         if need.get("alpha"):
             sp.add_argument("--alpha", required=True, help='augmentation value, "a/b" or "inf"')
-        if need.get("budget"):
-            sp.add_argument("--budget", type=int, default=16,
-                            help="augmentation budget (default 16)")
         if need.get("svg"):
             sp.add_argument("--svg", metavar="FILE", default=None,
                             help="write an SVG rendering to FILE")
@@ -197,8 +186,8 @@ def build_parser() -> _Parser:
     add("approach", cmd_approach, poly=True)
     add("max-aug", cmd_max_aug, poly=True, key="req")
     add("factor", cmd_factor, poly=True)
-    add("extensions", cmd_extensions, poly=True, budget=True, dot=True)
-    add("artin-schreier", cmd_artin_schreier, elem=True, budget=True)
+    add("extensions", cmd_extensions, poly=True, dot=True)
+    add("artin-schreier", cmd_artin_schreier, elem=True)
     return parser
 
 

@@ -7,9 +7,9 @@ over GF(p) and cached with the field.  ``FiniteField.of`` builds one field
 per (p, k), so fields compare by identity.  Elements are ``FFElem``, a
 ``base.FieldElem`` whose payload is a little-endian ``fppoly`` coefficient
 tuple.  Polynomials over a field are ``FFPoly``, a subclass of
-``poly.Polynomial`` printed in y.  Equal-degree splitting uses an explicit
-seeded random source, so every factorization is reproducible; with no source
-given a fresh ``random.Random(0)`` is used.
+``poly.Polynomial`` printed in y.  Equal-degree splitting draws from a fresh
+``random.Random(0)`` per factorization, and the factor list is sorted, so
+every factorization is reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 from functools import lru_cache
 
 from . import fppoly
-from .base import FieldElem
+from .base import FieldElem, _is_prime
 from .poly import Polynomial
 
 
@@ -44,7 +44,7 @@ class FiniteField:
     def of(cls, p: int, k: int = 1) -> "FiniteField":
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if _prime_divisors(p) != [p]:
+        if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         return _field_of(p, k)
 
@@ -125,6 +125,10 @@ class FFElem(FieldElem):
             sa, sb = sb, fppoly.sub(sa, fppoly.mul(q, sb, p), p)
         inv_lead = pow(a[-1], -1, p)
         return FFElem(self.field, fppoly.div_mod(fppoly.scal(inv_lead, sa, p), m, p)[1])
+
+    def __hash__(self):
+        # a constant hashes like the int c in range(p) that it equals
+        return hash(sum(self.coeffs) if len(self.coeffs) < 2 else self.coeffs)
 
     def key(self):
         """Deterministic sort key: coefficient vector padded to field degree."""
@@ -334,16 +338,15 @@ def _equal_degree(f: FFPoly, d: int, rng) -> list:
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def ff_factor(f: FFPoly, rng=None):
+def ff_factor(f: FFPoly):
     """Full factorization into monic irreducibles.
 
     Returns (unit, [(g, multiplicity)]) with the factor list sorted by
-    (degree, coefficient vectors).  Deterministic for a fixed rng seed; the
-    default source is random.Random(0).
+    (degree, coefficient vectors).
     """
     if f.is_zero():
         raise ValueError("factor of zero polynomial")
-    rng = rng if rng is not None else random.Random(0)
+    rng = random.Random(0)
     unit = f.leading()
     f = f.monic()
     factors = []
@@ -357,9 +360,9 @@ def ff_factor(f: FFPoly, rng=None):
     return unit, factors
 
 
-def ff_roots(f: FFPoly, rng=None):
+def ff_roots(f: FFPoly):
     """Roots in the coefficient field with multiplicities, sorted."""
-    _, factors = ff_factor(f, rng)
+    _, factors = ff_factor(f)
     out = []
     for g, m in factors:
         if g.degree() == 1:

@@ -13,8 +13,9 @@ The text grammar accepted by ``parse_polynomial`` covers signed integers,
 parentheses.  Division is only defined when the divisor is constant in x.
 An exponent may not exceed ``MAX_EXPONENT`` in absolute value, nor raise the
 degree in x above it; over F_p(t) it may not raise the t-degree of a
-numerator or denominator above it either.  A product may not have degree in
-x above ``MAX_EXPONENT``.
+numerator or denominator above it either, and over Q it may not raise the
+bit length of a numerator or denominator above ``MAX_BITS``.  A product may
+not have degree in x above ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from fractions import Fraction
 
 from .base import BaseElem, BaseField, FieldElem
 
-# Bound on |e| in ``a^e``, on the degree in x of a power or a product and on
-# the t-degree of a power, checked before the result is computed, so that a
-# huge input is a parse error.
+# Bounds on |e| in ``a^e``, on the degree in x of a power or a product, and
+# on the t-degree (bit length over Q) of a power, checked before the result
+# is computed, so that a huge input is a parse error.
 MAX_EXPONENT = 1000
+MAX_BITS = 10_000
 
 
 class Polynomial:
@@ -234,6 +236,9 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, and so hashes like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.field, self.coeffs))
 
     # -- printing ---------------------------------------------------------------
@@ -376,6 +381,8 @@ class _Parser:
                            " on exponents and degrees")
             if self.field.kind == "Fpt" and _t_degree(node) * abs(e) > MAX_EXPONENT:
                 self.error(f"exponent {e} takes the degree in t over the bound {MAX_EXPONENT}")
+            if self.field.kind == "Q" and _bit_length(node) * abs(e) > MAX_BITS:
+                self.error(f"exponent {e} takes the bit length over the bound {MAX_BITS}")
             if e < 0:
                 if node.degree() > 0:
                     self.error("negative power of x")
@@ -424,6 +431,12 @@ class _Parser:
 def _t_degree(f: Polynomial) -> int:
     """The largest t-degree of a numerator or denominator among f's coefficients."""
     return max((len(part) - 1 for c in f.coeffs for part in c.payload), default=0)
+
+
+def _bit_length(f: Polynomial) -> int:
+    """The largest bit length of a numerator or denominator among f's coefficients."""
+    return max((n.bit_length() for c in f.coeffs
+                for n in (c.payload.numerator, c.payload.denominator)), default=0)
 
 
 def parse_polynomial(field: BaseField, text: str) -> Polynomial:

@@ -20,6 +20,7 @@ from maclane import (
     parse_polynomial,
     screen_irreducible,
 )
+from maclane import approach
 
 B2 = BaseField.rationals(2)
 B3 = BaseField.rationals(3)
@@ -257,14 +258,12 @@ class TestEnumerate:
             sv = enumerate_extensions(base, f)
             assert sum(r.e * r.f for r in sv.reports) <= f.degree()
 
-    def test_budget_exhaustion(self):
-        sv = enumerate_extensions(B5, pol(B5, "x^2+1"), budget=1)
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(approach, "MAX_DEPTH", 1)
+        sv = enumerate_extensions(B5, pol(B5, "x^2+1"))
         assert branch_summaries(sv) == [("x:0", False, "budget-exhausted", 1, 1)]
         assert not all(r.terminal for r in sv.reports)
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            enumerate_extensions(B5, pol(B5, "x^2+1"), budget=0)
+        assert sv.to_json()["budget"] == 1
 
     def test_screen_applies(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maclane import INF, BaseField, FiniteField, classify, format_value, fppoly, parse_element, parse_value
+from maclane import (
+    INF, BaseField, FFPoly, FiniteField, Polynomial, classify, format_value, fppoly, parse_element,
+    parse_value,
+)
 from maclane.base import vmul
 
 
@@ -296,3 +299,32 @@ class TestInterning:
                 op(a, b)
             with pytest.raises(ValueError, match="element/field mismatch"):
                 op(b, a)
+
+
+class TestHashMatchesEquality:
+    """An element equal to an int hashes like it, so dict lookups agree."""
+
+    FIELDS = [BaseField.rational_functions(2), FiniteField.of(3), FiniteField.of(2, 2)]
+
+    @pytest.mark.parametrize("F", FIELDS, ids=str)
+    def test_constant_elements(self, F):
+        for c in range(F.p):
+            e = F.from_int(c)
+            assert e == c and hash(e) == hash(c)
+        assert {F.one(): "v"}.get(1) == "v"
+        assert {1: "v"}.get(F.one()) == "v"
+
+    @pytest.mark.parametrize("F", FIELDS + [BaseField.rationals(3)], ids=str)
+    def test_constant_polynomials(self, F):
+        cls = FFPoly if isinstance(F, FiniteField) else Polynomial
+        one = cls.one(F)
+        assert one == 1 and hash(one) == hash(1)
+        assert {one: "v"}.get(1) == "v"
+        assert hash(cls.zero(F)) == hash(0)
+        assert hash(cls.constant(F.one())) == hash(F.one())
+
+    def test_other_elements_keep_the_payload_hash(self):
+        t = BaseField.rational_functions(2).t()
+        assert hash(t) == hash(t.payload)
+        g = FiniteField.of(2, 2).gen()
+        assert hash(g) == hash(g.payload)

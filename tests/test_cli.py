@@ -190,12 +190,23 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["valuate", "--poly", "x^1000*x^1000"],
         ["valuate", "--base", "Fpt", "--p", "2", "--poly", "(t^999)^999"],
+        ["valuate", "--poly", "(2^999)^999"],
     ])
     def test_size_bound_exits_2(self, argv, capsys):
         assert main(argv) == 2
         out = json.loads(capsys.readouterr().out)
         check("error", out)
         assert "bound" in out["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["extensions", "--poly", "x^2+2", "--budget", "3"],
+        ["artin-schreier", "--base", "Fpt", "--a", "1/t^2", "--budget", "3"],
+    ])
+    def test_budget_flag_is_gone(self, argv, capsys):
+        assert main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        check("error", out)
+        assert "--budget" in out["error"]["message"]
 
     @pytest.mark.parametrize("argv, expected", [
         (["extensions", "--p", "2", "--poly", "((x^2+x+1)^2+2)^2+4*x"], 0),

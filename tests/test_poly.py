@@ -214,6 +214,10 @@ class TestParser:
         (F2T, "(t^999)^999"),
         (F2T, "(1/(t^11+1))^-91"),
         (F3T, "(t^3*x)^334"),
+        (B2, "(2^999)^999"),
+        (B2, "(x+2^300)^300"),
+        (B5, "(1/3^999)^999"),
+        (B2, "((2^999)^999)^999"),
     ])
     def test_size_bound(self, field, text):
         with pytest.raises(ValueError, match="bound"):
@@ -224,6 +228,8 @@ class TestParser:
         u = F2T.t() ** 10 + 1
         assert parse_polynomial(F2T, "(t^10)^100") == Polynomial.constant(F2T.t() ** 1000)
         assert parse_polynomial(F2T, "(1/(t^10+1))^-100") == Polynomial.constant(u ** 100)
+        # 2^99 has 100 bits, and 100 * 99 = 9900 is within MAX_BITS
+        assert parse_polynomial(B2, "(x+2^99)^99") == (Polynomial.x(B2) + 2 ** 99) ** 99
 
     def test_str_parse_round_trip(self):
         rng = random.Random(11)
