@@ -18,7 +18,7 @@ from .base import INF, InvariantError, format_value
 from .poly import Polynomial
 from . import ffield
 from .chains import MacLaneChain
-from .newton import newton_polygon
+from .newton import NewtonPolygon, newton_polygon
 
 # Depth cap of the augmentation tree, echoed as "budget" in the survey JSON.
 # A branch that reaches it is reported as non-terminal "budget-exhausted".
@@ -309,9 +309,11 @@ def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
 
     Branching starts from the sides of the Newton polygon of f in x (one
     branch seed per side, at the negated slope) and recurses through the
-    non-key entries of each node's graded factorization.  The in(key) part is
-    never recursed into: at a seed it belongs to a steeper side, and at an
-    augmented child the first-slope choice forces 0 into the argmin set.
+    non-key entries of each node's graded factorization: at inf first when
+    the entry's key q divides f, then at each side of the polygon of f (or
+    f/q) in q whose negated slope exceeds v(q).  The in(key) part is not
+    branched on: it lies on steeper sides of the parent's polygon, which are
+    the node's siblings.
 
     A node is terminal when its chain is a support chain, or when the argmin
     spread of f along the minimal key is exactly one (stabilized: the branch
@@ -365,9 +367,15 @@ def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
                 chain.ramification_index(), chain.inertia_degree(), depth))
             return
         for entry in branch_entries:
-            child = chain.augment(entry.key, entry.proposed_value)
-            explore(child, depth + 1, nid,
-                    f"{entry.factor} -> {format_value(entry.proposed_value)}")
+            q = entry.key
+            values = chain.truncate(q, f).digit_values
+            alphas = [INF] if values[0] is INF else []
+            alphas += [-side.slope for side in NewtonPolygon.from_points(enumerate(values)).sides]
+            vq = chain.valuate(q)
+            for alpha in alphas:
+                if alpha > vq:
+                    explore(chain.augment(q, alpha), depth + 1, nid,
+                            f"{entry.factor} -> {format_value(alpha)}")
 
     gauss = MacLaneChain.gauss(base)
     poly = newton_polygon(gauss, Polynomial.x(base), f)

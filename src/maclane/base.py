@@ -337,6 +337,9 @@ class FieldElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
+            # where p = 0, only the ints 0, ..., p-1 equal elements, and hash like them
+            if other not in range(self.field.p) and self.field.from_int(self.field.p).is_zero():
+                return False
             other = self.field.from_int(other)
         if not isinstance(other, FieldElem) or other.field is not self.field:
             return NotImplemented

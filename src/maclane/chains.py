@@ -11,6 +11,8 @@ Every value, argmin set, Newton polygon and residual polynomial is read off
 one memoized object per (f, q), the ``TruncationData`` of ``_expansion``,
 kept on the stage whose prefix values its digits: sound because a stage only
 ever sits on the prefix it was built on, which the chain constructor checks.
+So is ``Stage.keys``, the one key test per (stage, q) that both
+``is_key_polynomial`` and the construction of the next stage read.
 
 Each stage carries the combinatorial data of its graded ring: the value
 group denominator D_s, the relative ramification d_s = D_s/D_{s-1}, the
@@ -38,7 +40,7 @@ class Stage:
     __slots__ = (
         "key", "value", "denom", "rel_denom", "numer",
         "bez_a", "bez_b", "res_field", "residual", "embed", "z_root", "to_prev",
-        "expansions", "below",
+        "expansions", "keys", "below",
     )
 
     def __init__(self, key, value, denom, rel_denom, numer, bez_a, bez_b,
@@ -56,9 +58,10 @@ class Stage:
         self.z_root = z_root           # image of the key in k_s (root of residual)
         self.to_prev = to_prev         # k_s -> list of k_{s-1} coefficients in powers of z_root
         self.below = below             # the stage this one was built on, None at stage 1
-        # (f, q) -> TruncationData under the stages up to this one; sound because a
-        # Stage only ever sits on the prefix it was built on, which MacLaneChain checks
+        # (f, q) -> TruncationData, q -> key residual or None, under the stages up to
+        # this one; sound because a Stage only ever sits on the prefix it was built on
         self.expansions = {}
+        self.keys = {}
 
 
 def _bezout(n: int, d: int):
@@ -266,12 +269,17 @@ class MacLaneChain:
         top = len(ex.digits) - 1
         if ex.digits[top] != Polynomial.one(self.base) or ex.value != vmul(top, self.last_value()):
             return False
-        if q.degree() == m:
-            return True
-        if 0 not in ex.s_set:
-            return False
-        fbar, _, _, _ = self.reduce(q)
-        return fbar.degree() >= 1 and ffield.is_irreducible(fbar)
+        return q.degree() == m or (0 in ex.s_set and self._key_residual(q) is not None)
+
+    def _key_residual(self, q):
+        """The monic residual of q if it is irreducible with nonzero constant term
+        and i0 = 0, else None."""
+        keys = self.stages[-1].keys
+        if q not in keys:
+            fbar, i0, _, _ = self.reduce(q)
+            is_key = i0 == 0 and not fbar.coeff(0).is_zero() and ffield.is_irreducible(fbar)
+            keys[q] = fbar.monic() if is_key else None
+        return keys[q]
 
     # -- augmentation -----------------------------------------------------------------
 
@@ -424,13 +432,10 @@ def _build_stage(base, prefix_stages, key, value) -> Stage:
         scaled = value * denom
         numer = int(scaled)
     a, b = _bezout(numer, rel)
-    fbar, i0, _, _ = prev.reduce(key)
-    if i0 != 0 or fbar.coeff(0).is_zero():
-        raise InvariantError("stage key is not key over the prefix (divisible residual)")
-    residual = fbar.monic()
+    residual = prev._key_residual(key)
+    if residual is None:
+        raise InvariantError("stage key has a divisible or reducible residual over the prefix")
     fdeg = residual.degree()
-    if fdeg < 1 or not ffield.is_irreducible(residual):
-        raise InvariantError("stage key has a reducible residual over the prefix")
     if key.degree() != fdeg * prev_st.rel_denom * prev_st.key.degree():
         raise InvariantError("stage key degree mismatch with residual data")
     sub = prev_st.res_field

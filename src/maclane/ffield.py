@@ -2,12 +2,13 @@
 
 Fields are represented as F_p[w]/(modulus) with a deterministic modulus:
 the lexicographically first monic irreducible of degree k (ordered by the
-tuple of non-leading coefficients), found once per (p, k) by the Rabin test
-over GF(p) and cached with the field.  ``FiniteField.of`` builds one field
-per (p, k), so fields compare by identity.  Elements are ``FFElem``, a
-``base.FieldElem`` whose payload is a little-endian ``fppoly`` coefficient
-tuple.  Polynomials over a field are ``FFPoly``, a subclass of
-``poly.Polynomial`` printed in y.  Equal-degree splitting draws from a fresh
+tuple of non-leading coefficients), found once per (p, k) and cached with
+the field.  ``FiniteField.of`` builds one field per (p, k), so fields
+compare by identity.  Elements are ``FFElem``, a ``base.FieldElem`` whose
+payload is a little-endian ``fppoly`` coefficient tuple.  Polynomials over a
+field are ``FFPoly``, a subclass of ``poly.Polynomial`` printed in y.
+Irreducibility is read off the distinct-degree factorization that
+``ff_factor`` runs.  Equal-degree splitting draws from a fresh
 ``random.Random(0)`` per factorization, and the factor list is sorted, so
 every factorization is reproducible.
 """
@@ -190,36 +191,13 @@ class FFPoly(Polynomial):
 
 
 def is_irreducible(f: FFPoly) -> bool:
-    """Rabin test over the coefficient field GF(q)."""
-    n = f.degree()
-    if n <= 0:
+    """Whether deg f >= 1 and the distinct-degree factorization of monic f is
+    [(f, deg f)].  A non-squarefree f comes out reducible too: the first factor
+    split off divides y^(q^d) - y, so it is squarefree and is not f."""
+    if f.degree() < 1:
         return False
-    if n == 1:
-        return True
-    f = f.monic()   # reductions mod a monic f need no rescaling
-    q = f.field.order
-    y = FFPoly.y(f.field)
-    if y.pow_mod(q ** n, f) != y % f:
-        return False
-    for r in _prime_divisors(n):
-        h = y.pow_mod(q ** (n // r), f)
-        if (h - y).gcd(f).degree() != 0:
-            return False
-    return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    f = f.monic()
+    return _distinct_degree(f) == [(f, f.degree())]
 
 
 def first_irreducible(p, k):

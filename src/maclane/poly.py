@@ -229,7 +229,9 @@ class Polynomial:
         return a.monic()
 
     def __eq__(self, other):
-        if isinstance(other, int) or _is_elem_of(other, self.field):
+        if isinstance(other, int):
+            return len(self.coeffs) <= 1 and self.constant_coeff() == other
+        if _is_elem_of(other, self.field):
             other = self._check(other)
         if type(other) is not type(self) or other.field is not self.field:
             return NotImplemented

@@ -288,3 +288,32 @@ class TestEnumerate:
         br = d["branches"][0]
         assert br["reason"] == "support"
         assert br["stages"] == [["x", "1/2"], ["x^2+2", "inf"]]
+
+
+class TestEveryPrincipalSide:
+    """A lifted key is augmented at every principal side of f's polygon in it,
+    and at inf first when it divides f, so sum e*f = deg f."""
+
+    @pytest.mark.parametrize("base, text, ef", [
+        (B5, "x^5+50*x-1", [(1, 1), (4, 1)]),
+        (B2, "(x^2+2)*(x^2+6)", [(2, 1), (2, 1)]),
+        (F2T, "x^4+t^3*x^3+(t^3+1)*x^2+t^3*x+1", [(1, 2), (1, 2)]),
+    ], ids=["shallower-side", "key-divides-f", "key-divides-f-fpt"])
+    def test_fundamental_equality(self, base, text, ef):
+        f = pol(base, text)
+        sv = enumerate_extensions(base, f)
+        assert all(r.terminal for r in sv.reports)
+        assert sorted((r.e, r.f) for r in sv.reports) == ef
+        assert sum(e * f_ for e, f_ in ef) == f.degree()
+
+    def test_shallower_side(self):
+        # f(x+4) over Q_5 has sides of slopes -1 and -1/4 in x+4
+        sv = enumerate_extensions(B5, pol(B5, "x^5+50*x-1"))
+        assert [label for _, _, label in sv.tree.edges][1:3] == ["y+4 -> 1", "y+4 -> 1/4"]
+
+    def test_divisor_key_then_cofactor(self):
+        sv = enumerate_extensions(B2, pol(B2, "(x^2+2)*(x^2+6)"))
+        assert branch_summaries(sv) == [
+            ("x:1/2; x^2+2:inf", True, "support", 2, 1),
+            ("x:1/2; x^2+2:2", True, "stabilized", 2, 1),
+        ]

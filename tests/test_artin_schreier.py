@@ -198,19 +198,8 @@ AS_INPUTS = [bench_inputs.as_case(1, i) for i in range(48)]
 
 
 def _oracle_params():
-    """Inert and ramified cases, plus the first split case for each p.
-
-    Enumeration finds one branch, not p, for a split x^p - x - a: the
-    shallower-side defect of ROADMAP item 1.
-    """
-    out = []
-    for i, (p, text, case, _) in enumerate(AS_INPUTS):
-        if case != "split-p":
-            out.append(pytest.param(i, id=f"{i}-{case}-p{p}"))
-        elif i < len(bench_inputs.AS_PRIMES):
-            out.append(pytest.param(i, id=f"{i}-{case}-p{p}", marks=pytest.mark.xfail(
-                strict=True, reason="ROADMAP item 1: enumeration drops shallower sides")))
-    return out
+    """Every input: split, inert and ramified."""
+    return [pytest.param(i, id=f"{i}-{case}-p{p}") for i, (p, _, case, _) in enumerate(AS_INPUTS)]
 
 
 class TestOracle:

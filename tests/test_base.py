@@ -323,6 +323,26 @@ class TestHashMatchesEquality:
         assert hash(cls.zero(F)) == hash(0)
         assert hash(cls.constant(F.one())) == hash(F.one())
 
+    @pytest.mark.parametrize("F", [BaseField.rational_functions(3), FiniteField.of(3),
+                                   FiniteField.of(2, 2)], ids=str)
+    def test_ints_outside_range_p_are_not_equal(self, F):
+        # from_int reduces mod p, but only 0, ..., p-1 may equal an element,
+        # since an element hashes like the one int it equals
+        one = F.one()
+        cls = FFPoly if isinstance(F, FiniteField) else Polynomial
+        for n in (F.p + 1, 1 - F.p, -1 - F.p, 1 + 10 * F.p):
+            assert one != n and cls.one(F) != n
+            assert {one: "v"}.get(n) is None and {n: "v"}.get(one) is None
+        assert F.zero() != F.p and cls.zero(F) != F.p and F.from_int(-1) != -1
+        assert F.from_int(-1) == F.p - 1 and cls.constant(F.from_int(-1)) == F.p - 1
+
+    def test_q_equals_every_int(self):
+        Q = BaseField.rationals(3)
+        for n in (-7, -1, 0, 4, 10 ** 30):
+            assert Q.from_int(n) == n and Polynomial.constant(Q.from_int(n)) == n
+            assert {Q.from_int(n): "v"}.get(n) == "v"
+        assert Q.from_int(4) != 1 and Polynomial.x(Q) != 0
+
     def test_other_elements_keep_the_payload_hash(self):
         t = BaseField.rational_functions(2).t()
         assert hash(t) == hash(t.payload)

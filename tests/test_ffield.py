@@ -1,6 +1,7 @@
 """Finite fields, factorization over them, and tower embeddings."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -124,6 +125,42 @@ class TestIrreducibility:
         y = FFPoly.y(f4)
         # y^2 + y + w is irreducible over GF(4) (trace of w over F_2 is 1)
         assert is_irreducible(y ** 2 + y + FFPoly(f4, (w,)))
+
+
+def _monic(field, n):
+    """Every monic polynomial of degree n over field."""
+    for cs in itertools.product(list(field.elements()), repeat=n):
+        yield FFPoly(field, cs + (field.one(),))
+
+
+def _by_trial_division(f):
+    """Irreducible: no monic divisor of degree 1 .. deg f / 2."""
+    n = f.degree()
+    return n >= 1 and not any((f % g).is_zero()
+                              for d in range(1, n // 2 + 1) for g in _monic(f.field, d))
+
+
+class TestIrreducibilityOracle:
+    """``is_irreducible`` against trial division, an algorithm that shares none
+    of its steps."""
+
+    @pytest.mark.parametrize("p, k, top", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3)])
+    def test_every_monic_polynomial(self, p, k, top):
+        F = FiniteField.of(p, k)
+        unit = list(F.elements())[-1]
+        for n in range(top + 1):
+            for f in _monic(F, n):
+                assert is_irreducible(f) == _by_trial_division(f), f
+                assert is_irreducible(f.scale(unit)) == is_irreducible(f)
+
+    @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    def test_repeated_factors_are_reducible(self, p, k):
+        F = FiniteField.of(p, k)
+        irreducibles = [g for n in (1, 2) for g in _monic(F, n) if _by_trial_division(g)]
+        for g in irreducibles:
+            assert not is_irreducible(g * g) and not is_irreducible(g * g * g)
+            for h in irreducibles[:4]:
+                assert not is_irreducible(g * g * h), (g, h)
 
 
 class TestFactorization:

@@ -21,6 +21,7 @@ from maclane import (
     newton_polygon,
     parse_polynomial,
 )
+from maclane import ffield
 
 B2 = BaseField.rationals(2)
 B3 = BaseField.rationals(3)
@@ -225,6 +226,22 @@ class TestExpansionMemo:
         assert sum(r.e * r.f for r in survey.reports) == 8
         # one expansion per (f, key) and stage prefix; without the memo it is 310
         assert 0 < len(calls) < 100
+
+    def test_enumeration_tests_each_key_once(self, monkeypatch):
+        f = pol(B2, "((x^2+x+1)^2+2)^2+4*x")
+        enumerate_extensions(B2, f)     # builds the residue fields, which test moduli
+        tests, reductions = [], []
+        real_test, real_reduce = ffield.is_irreducible, MacLaneChain.reduce
+        monkeypatch.setattr(ffield, "is_irreducible", lambda g: tests.append(g) or real_test(g))
+        monkeypatch.setattr(MacLaneChain, "reduce",
+                            lambda c, g: reductions.append(g) or real_reduce(c, g))
+        survey = enumerate_extensions(B2, f)
+        assert sum(r.e * r.f for r in survey.reports) == 8
+        # one residual test per key above its chain's last key degree: x^2+x+1 at
+        # x:0, one key at the second stage and two at the third.  Testing in
+        # is_key_polynomial and again in the stage build made it 10 and 13.
+        assert [str(g) for g in tests] == ["y^2+y+1", "y+g", "y+g", "y+g"]
+        assert len(reductions) <= 7
 
 
 class TestGradedRing:
