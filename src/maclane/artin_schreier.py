@@ -71,8 +71,9 @@ class ASReport:
 def artin_schreier_polynomial(base: BaseField, a) -> Polynomial:
     if base.kind != "Fpt":
         raise ValueError("Artin-Schreier classification needs a rational function field")
-    x = Polynomial.x(base)
-    return x ** base.p - x - Polynomial.constant(base._own(a))
+    a = base._own(a)
+    middle = (base.zero(),) * (base.p - 2)
+    return Polynomial(base, (-a, base.from_int(-1)) + middle + (base.one(),))
 
 
 def split_residual(p: int):
@@ -102,9 +103,14 @@ def improve_witness(base: BaseField, a, b):
     wi = int(w)
     if wi % base.p:
         raise ValueError("value prime to p admits no improvement (ramified case)")
-    c = base.uniformizer() ** (wi // base.p)
-    r = base.residue(Fb * base.uniformizer() ** (-wi))
-    return b + c * base.from_int(-r)
+    return _improved(base, b, Fb, wi)
+
+
+def _improved(base, b, Fb, wi):
+    """The step of ``improve_witness`` from Fb = F(b), of value wi."""
+    t = base.uniformizer()
+    r = base.residue(Fb * t ** (-wi))
+    return b + t ** (wi // base.p) * base.from_int(-r)
 
 
 def classify(base: BaseField, a) -> ASReport:
@@ -143,7 +149,7 @@ def classify(base: BaseField, a) -> ASReport:
             return ASReport(
                 ASCase.RamifiedP, p, a, b, w, p, 1, 1, 1, improvements,
                 tuple(trace), None, None)
-        b = improve_witness(base, a, b)
+        b = _improved(base, b, Fb, wi)
         improvements += 1
 
 

@@ -13,6 +13,7 @@ from maclane import (
     BaseField,
     FFPoly,
     FiniteField,
+    Polynomial,
     artin_schreier_polynomial,
     classify,
     enumerate_extensions,
@@ -42,6 +43,14 @@ class TestPolynomial:
     def test_needs_function_field(self):
         with pytest.raises(ValueError):
             artin_schreier_polynomial(BaseField.rationals(2), 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_is_x_to_the_p_minus_x_minus_a(self, p):
+        base = BaseField.rational_functions(p)
+        x = Polynomial.x(base)
+        for text in ("0", "1", "t", "1/t^3+2", "(t+1)/(t^2+t+1)"):
+            a = elem(base, text)
+            assert artin_schreier_polynomial(base, a) == x ** p - x - Polynomial.constant(a)
 
 
 class TestSplitResidual:
@@ -128,6 +137,19 @@ class TestClassify:
         assert (r.e, r.f, r.g, r.defect) == (2, 1, 1, 1)
         assert r.improvements == 20
         assert max_of_S(r) == (Fraction(-39, 2), r.witness)
+
+
+class TestOneEvaluationPerStep:
+    @pytest.mark.parametrize("i", range(0, 48, 5))
+    def test_f_of_b_once_per_step(self, monkeypatch, i):
+        p, text, _, _ = AS_INPUTS[i]
+        base = BaseField.rational_functions(p)
+        calls = []
+        evaluate = Polynomial.__call__
+        monkeypatch.setattr(Polynomial, "__call__", lambda f, b: calls.append(b) or evaluate(f, b))
+        r = classify(base, elem(base, text))
+        assert len(calls) == r.improvements + 1
+        assert [b for b, _ in r.trace] == calls
 
 
 class TestImproveWitness:

@@ -3,12 +3,16 @@
 import functools
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
-from maclane import FFPoly, FiniteField, ff_factor, ff_roots
-from maclane import ffield
+from maclane import BaseField, FFPoly, FiniteField, enumerate_extensions, ff_factor, ff_roots
+from maclane import ffield, fppoly, parse_polynomial
 from maclane.ffield import (
+    FFElem,
+    ZechElem,
     absolute_trace,
     embed_into,
     is_irreducible,
@@ -81,6 +85,110 @@ class TestElemArithmetic:
         seen = {g ** i for i in range(f.order - 1)}
         # w need not be primitive, but its powers must leave the prime field
         assert any(e not in {f.zero(), f.one()} for e in seen)
+
+
+# -- log/Zech tables against schoolbook arithmetic ------------------------------------
+
+# every (p, k) with p^k <= 64
+SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+                for k in range(1, 7) if p ** k <= 64]
+
+
+def _ref_mul(F, a, b):
+    return fppoly.div_mod(fppoly.mul(a, b, F.p), F.modulus, F.p)[1]
+
+
+def _ref_inverse(F, a):
+    """Extended Euclid in F_p[w]: s with s * a = 1 mod the modulus."""
+    p = F.p
+    r0, r1, s0, s1 = F.modulus, a, (), (1,)
+    while r1:
+        q, r = fppoly.div_mod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, fppoly.sub(s0, fppoly.mul(q, s1, p), p)
+    return fppoly.scal(pow(r0[-1], -1, p), s0, p)
+
+
+def _ref_pow(F, a, e):
+    if e < 0:
+        a, e = _ref_inverse(F, a), -e
+    out = (1,)
+    for _ in range(e):
+        out = _ref_mul(F, out, a)
+    return out
+
+
+class TestTables:
+    @pytest.mark.parametrize("p, k", SMALL_FIELDS)
+    def test_against_schoolbook(self, p, k):
+        F = FiniteField.of(p, k)
+        assert F.order <= ffield.TABLE_BOUND and F.log is not None
+        els = list(F.elements())
+        assert all(type(a) is ZechElem for a in els)
+        frobenius = {_ref_pow(F, b.payload, p): b.payload for b in els}
+        for a in els:
+            A = a.payload
+            assert (-a).payload == fppoly.neg(A, p)
+            assert pth_root(a).payload == frobenius[A]
+            trace, cur = (), A
+            for _ in range(k):
+                trace, cur = fppoly.add(trace, cur, p), _ref_pow(F, cur, p)
+            assert absolute_trace(a) == (trace[0] if trace else 0)
+            for e in (0, 1, 2, p, F.order - 1, F.order + 3):
+                assert (a ** e).payload == _ref_pow(F, A, e)
+            if a:
+                assert a.inverse().payload == _ref_inverse(F, A)
+                for e in (-1, -2, -F.order):
+                    assert (a ** e).payload == _ref_pow(F, A, e)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+                with pytest.raises(ZeroDivisionError):
+                    a ** -1
+            for b in els:
+                B = b.payload
+                assert (a * b).payload == _ref_mul(F, A, B)
+                assert (a + b).payload == fppoly.add(A, B, p)
+                assert (a - b).payload == fppoly.sub(A, B, p)
+
+    def test_int_operands(self):
+        F = FiniteField.of(3, 2)
+        w = F.gen()
+        assert (w * 2).payload == (0, 2) and (2 * w).payload == (0, 2)
+        assert (w + 4).payload == (1, 1) and (1 - w).payload == (1, 2)
+        with pytest.raises(ValueError):
+            w * FiniteField.of(3).one()
+
+    def test_field_above_the_bound_has_no_tables(self):
+        F = FiniteField.of(2, 11)
+        assert F.order > ffield.TABLE_BOUND
+        assert (F.antilog, F.log, F.zech) == (None, None, None)
+        assert type(F.one()) is FFElem and type(F.gen()) is FFElem
+        rng = random.Random(3)
+        for _ in range(30):
+            A = fppoly.trim([rng.randrange(2) for _ in range(11)], 2)
+            B = fppoly.trim([rng.randrange(2) for _ in range(11)], 2)
+            a, b = F.elem(A), F.elem(B)
+            assert (a * b).payload == _ref_mul(F, A, B)
+            assert (a + b).payload == fppoly.add(A, B, 2)
+            assert (a ** 5).payload == _ref_pow(F, A, 5)
+            if a:
+                assert a.inverse().payload == _ref_inverse(F, A)
+                assert pth_root(a) ** 2 == a
+
+    def test_enumeration_through_a_field_above_the_bound(self):
+        # x^11+x^2+1 is irreducible mod 2: one unramified branch whose
+        # residue field is GF(2^11), which has no tables
+        base = BaseField.rationals(2)
+        survey = enumerate_extensions(base, parse_polynomial(base, "x^11+x^2+1"))
+        assert survey.to_json()["all_terminal"]
+        assert [(r.e, r.f) for r in survey.reports] == [(1, 11)]
+        big = survey.reports[0].chain.stages[-1].res_field
+        assert big is FiniteField.of(2, 11) and big.log is None
+
+    def test_no_field_is_made_at_import(self):
+        code = "import maclane.cli, maclane.ffield as f; print(f._field_of.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestFFPoly:
@@ -231,6 +339,15 @@ class TestTowers:
         emb = embed_into(f, f)
         w = f.gen()
         assert emb(w) == w
+
+    def test_embedding_found_once_per_pair(self, monkeypatch):
+        monkeypatch.setattr(ffield, "_embedding", functools.lru_cache(ffield._embedding.__wrapped__))
+        calls = []
+        roots = ffield.ff_roots
+        monkeypatch.setattr(ffield, "ff_roots", lambda f: calls.append(f) or roots(f))
+        sub, big = FiniteField.of(3, 1), FiniteField.of(3, 2)
+        assert embed_into(sub, big) is embed_into(sub, big)
+        assert len(calls) == 1
 
     def test_incompatible_tower_rejected(self):
         with pytest.raises(ValueError):
