@@ -12,7 +12,18 @@ field check is an identity test.  The kind is decided there, once: Q is a
 ``QField`` with ``QElem`` elements, F_p(t) an ``FptField`` with ``FptElem``
 elements.  ``FieldElem`` holds the operators that the Q, F_p(t) and
 GF(p^k) elements share; each element class adds only ``is_zero``,
-``__add__``, ``__neg__``, ``__mul__``, ``inverse`` and ``__str__``.
+``__add__``, ``__neg__``, ``__mul__``, ``inverse`` and ``__str__``, and
+``QElem`` also a one-step ``__sub__``.
+
+A Q element's payload is a Python ``int`` when the element is integral and a
+``Fraction`` only otherwise; every operation normalizes its result, so the
+integral coefficients of the common case (a monic integral key divides an
+integral polynomial with integral quotients) cost native int arithmetic.
+Values stay ``Fraction``.  One trap: with int operands ``1 / n``, ``n / m``
+and ``n ** -k`` are floats, so ``QElem.inverse`` builds ``Fraction(1, n)``.
+The constructors are exact: every field's ``from_int`` takes only ints, and
+``QField.from_fraction`` only ints and Fractions; anything else, a float
+above all, raises ValueError.
 """
 
 from __future__ import annotations
@@ -100,6 +111,21 @@ def format_value(v) -> str:
     return str(Fraction(v))
 
 
+def _as_int(n) -> int:
+    """n as an int; anything that is not an int (a float, a Fraction) raises
+    ValueError, so that no inexact number enters a field."""
+    if type(n) is not int:
+        if not isinstance(n, int):
+            raise ValueError(f"expected an int, got {n!r}")
+        n = int(n)
+    return n
+
+
+def _rational(q):
+    """The Q payload of the int or Fraction q: an int exactly when q is integral."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -179,18 +205,21 @@ class QField(BaseField):
     kind = "Q"
 
     def from_int(self, n: int) -> "QElem":
-        return QElem(self, Fraction(n))
+        return QElem(self, _as_int(n))
 
-    def from_fraction(self, q: Fraction) -> "QElem":
-        return QElem(self, Fraction(q))
+    def from_fraction(self, q) -> "QElem":
+        """The element q, an int or a Fraction; anything else raises ValueError."""
+        if not isinstance(q, (int, Fraction)):
+            raise ValueError(f"expected an int or a Fraction, got {q!r}")
+        return QElem(self, _rational(q))
 
     def uniformizer(self) -> "QElem":
         return self.from_int(self.p)
 
-    def _order(self, q: Fraction) -> int:
+    def _order(self, q) -> int:
         return _padic(q.numerator, self.p) - _padic(q.denominator, self.p)
 
-    def _residue(self, q: Fraction) -> int:
+    def _residue(self, q) -> int:
         return (q.numerator % self.p) * pow(q.denominator, -1, self.p) % self.p
 
     def __str__(self):
@@ -204,7 +233,7 @@ class FptField(BaseField):
     kind = "Fpt"
 
     def from_int(self, n: int) -> "FptElem":
-        return FptElem(self, (fppoly.trim([n], self.p), (1,)))
+        return FptElem(self, (fppoly.trim([_as_int(n)], self.p), (1,)))
 
     def t(self) -> "FptElem":
         return FptElem(self, ((0, 1), (1,)))
@@ -359,18 +388,26 @@ class BaseElem(FieldElem):
 
 
 class QElem(BaseElem):
-    """An element of Q; the payload is a Fraction."""
+    """An element of Q; the payload is an int when the element is integral
+    and a Fraction otherwise (never a float; see the module docstring)."""
 
     __slots__ = ()
 
     def is_zero(self) -> bool:
-        return self.payload == 0
+        return not self.payload
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QElem(self.field, self.payload + o.payload)
+        return QElem(self.field, _rational(self.payload + o.payload))
+
+    def __sub__(self, other):
+        # one native subtraction in place of FieldElem's negate-then-add
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return QElem(self.field, _rational(self.payload - o.payload))
 
     def __neg__(self):
         return QElem(self.field, -self.payload)
@@ -379,12 +416,13 @@ class QElem(BaseElem):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QElem(self.field, self.payload * o.payload)
+        return QElem(self.field, _rational(self.payload * o.payload))
 
     def inverse(self) -> "QElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return QElem(self.field, 1 / self.payload)
+        # Fraction(1, n), not 1 / n, which is a float when n is an int
+        return QElem(self.field, _rational(Fraction(1, self.payload)))
 
     def __str__(self):
         return str(self.payload)

@@ -11,8 +11,10 @@ Every value, argmin set, Newton polygon and residual polynomial is read off
 one memoized object per (f, q), the ``TruncationData`` of ``_expansion``,
 kept on the stage whose prefix values its digits: sound because a stage only
 ever sits on the prefix it was built on, which the chain constructor checks.
-So is ``Stage.keys``, the one key test per (stage, q) that both
-``is_key_polynomial`` and the construction of the next stage read.
+So are ``Stage.keys``, the one key test per (stage, q) that both
+``is_key_polynomial`` and the construction of the next stage read, and
+``Stage.reductions``, the one graded reduction per (stage, f) that
+``reduce``, the key test and the reduction of a digit one stage up read.
 
 Each stage carries the combinatorial data of its graded ring: the value
 group denominator D_s, the relative ramification d_s = D_s/D_{s-1}, the
@@ -40,7 +42,7 @@ class Stage:
     __slots__ = (
         "key", "value", "denom", "rel_denom", "numer",
         "bez_a", "bez_b", "res_field", "residual", "embed", "z_root", "to_prev",
-        "expansions", "keys", "below",
+        "expansions", "keys", "reductions", "below",
     )
 
     def __init__(self, key, value, denom, rel_denom, numer, bez_a, bez_b,
@@ -58,10 +60,12 @@ class Stage:
         self.z_root = z_root           # image of the key in k_s (root of residual)
         self.to_prev = to_prev         # k_s -> list of k_{s-1} coefficients in powers of z_root
         self.below = below             # the stage this one was built on, None at stage 1
-        # (f, q) -> TruncationData, q -> key residual or None, under the stages up to
-        # this one; sound because a Stage only ever sits on the prefix it was built on
+        # (f, q) -> TruncationData, q -> key residual or None, f -> reduction, under
+        # the stages up to this one; sound because a Stage only ever sits on the
+        # prefix it was built on
         self.expansions = {}
         self.keys = {}
+        self.reductions = {}
 
 
 def _bezout(n: int, d: int):
@@ -314,6 +318,13 @@ class MacLaneChain:
         return self._reduce(f, len(self.stages))
 
     def _reduce(self, f, s):
+        """The reduction of f under the first s stages, memoized on stage s."""
+        memo = self.stages[s - 1].reductions
+        if f not in memo:
+            memo[f] = self._reduction(f, s)
+        return memo[f]
+
+    def _reduction(self, f, s):
         st = self.stages[s - 1]
         if st.value is INF:
             raise ValueError("reduction at a support stage")

@@ -43,7 +43,7 @@ import random
 from functools import lru_cache
 
 from . import fppoly
-from .base import FieldElem, _is_prime
+from .base import FieldElem, _as_int, _is_prime
 from .poly import Polynomial
 
 # The largest field order that gets log/Zech tables; see the module docstring.
@@ -94,7 +94,7 @@ class FiniteField:
         return self._elem(self, (1,))
 
     def from_int(self, n: int) -> "FFElem":
-        return self.elem((n,))
+        return self.elem((_as_int(n),))
 
     def gen(self) -> "FFElem":
         """The class w of the modulus variable (equals 1 when k = 1)."""

@@ -198,6 +198,76 @@ class TestElemArithmetic:
         assert str(t * t) == "t^2"
 
 
+Q3 = BaseField.rationals(3)
+# integral values often, including huge ones, and fractions with small denominators
+q_values = st.one_of(st.integers(-10 ** 30, 10 ** 30).map(Fraction), st.integers(-9, 9).map(Fraction),
+                     st.fractions(max_denominator=60))
+
+
+def assert_q_payload(elem, ref):
+    """elem has the value ref, and its payload is an int exactly when ref is
+    integral, a Fraction otherwise, and never a float."""
+    assert elem.field is Q3
+    assert not isinstance(elem.payload, float)
+    assert type(elem.payload) is (int if ref.denominator == 1 else Fraction)
+    assert elem.payload == ref
+
+
+class TestQPayload:
+    """The Q payload against a Fraction reference (see the base module docstring)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(q_values, q_values, st.integers(-5, 5), st.integers(-20, 20))
+    def test_arithmetic_matches_fraction(self, a, b, e, n):
+        A, B = Q3.from_fraction(a), Q3.from_fraction(b)
+        assert_q_payload(A, a)
+        cases = [(A + B, a + b), (A - B, a - b), (A * B, a * b), (-A, -a),
+                 (A + n, a + n), (n - A, n - a), (A * n, a * n)]
+        if b:
+            cases += [(A / B, a / b), (B.inverse(), 1 / b), (n / B, n / b)]
+        if a or e >= 0:
+            cases.append((A ** e, a ** e))
+        for elem, ref in cases:
+            assert_q_payload(elem, ref)
+
+    def test_integral_results_of_fraction_operands(self):
+        half = Q3.from_fraction(Fraction(1, 2))
+        for elem, ref in [(half + half, 1), (half * 6, 3), (half - Q3.from_fraction(Fraction(5, 2)), -2),
+                          (Q3.from_fraction(Fraction(1, 5)).inverse(), 5), (half ** -3, 8),
+                          (Q3.from_int(7).inverse(), Fraction(1, 7)), (Q3.from_int(-1).inverse(), -1),
+                          (Q3.from_int(4) / 8, Fraction(1, 2)), (Q3.from_int(2) ** -2, Fraction(1, 4))]:
+            assert_q_payload(elem, Fraction(ref))
+
+    def test_equal_values_are_one_dict_key(self):
+        three = [Q3.from_int(3), Q3.from_fraction(Fraction(6, 2)), Q3.from_fraction(3),
+                 parse_element(Q3, "6/2"), parse_element(Q3, "9/3")]
+        polys = [Polynomial.constant(e) for e in three]
+        for e in three:
+            assert_q_payload(e, Fraction(3))
+        for a in three + polys + [3]:
+            assert hash(a) == hash(3)
+            assert {e: "v" for e in three}.get(a) == "v"
+            assert {p: "v" for p in polys}.get(a) == "v"
+            assert all(a == b for b in three + polys)
+        assert {Q3.from_fraction(Fraction(1, 2)): "v"}.get(parse_element(Q3, "2/4")) == "v"
+
+    @pytest.mark.parametrize("F", [Q3, BaseField.rational_functions(3), FiniteField.of(3),
+                                   FiniteField.of(3, 2)], ids=str)
+    @pytest.mark.parametrize("n", [2.5, 2.0, Fraction(1, 2), Fraction(2), "2", None])
+    def test_from_int_takes_only_ints(self, F, n):
+        with pytest.raises(ValueError, match="expected an int"):
+            F.from_int(n)
+
+    @pytest.mark.parametrize("q", [0.1, 2.0, "1/2", None])
+    def test_from_fraction_takes_only_ints_and_fractions(self, q):
+        with pytest.raises(ValueError, match="expected an int or a Fraction"):
+            Q3.from_fraction(q)
+
+    def test_bool_is_an_int(self):
+        assert_q_payload(Q3.from_int(True), Fraction(1))
+        assert_q_payload(Q3.from_fraction(False), Fraction(0))
+
+
 @st.composite
 def fpt_quotients(draw):
     """p, then numerator and denominator coefficient lists over F_p with

@@ -243,6 +243,25 @@ class TestExpansionMemo:
         assert [str(g) for g in tests] == ["y^2+y+1", "y+g", "y+g", "y+g"]
         assert len(reductions) <= 7
 
+    def test_enumeration_reduces_each_pair_once(self, monkeypatch):
+        f = pol(B2, "((x^2+x+1)^2+2)^2+4*x")
+        calls, computed = [], []
+        real_reduce, real_reduction = MacLaneChain.reduce, MacLaneChain._reduction
+        monkeypatch.setattr(MacLaneChain, "reduce",
+                            lambda c, g: calls.append((str(c), g)) or real_reduce(c, g))
+        monkeypatch.setattr(MacLaneChain, "_reduction", lambda c, g, s: computed.append(
+            (c.stages[s - 1], g, s == len(c.stages))) or real_reduction(c, g, s))
+        survey = enumerate_extensions(B2, f)
+        assert sum(r.e * r.f for r in survey.reports) == 8
+        # 7 reduce calls on 6 distinct (chain, f) pairs: graded_factorization
+        # reduces f on x:0; x^2+x+1:1/2; x^4+2*x^3+3*x^2+4*x+1:5/4, and the
+        # "f is key" test reduces it again there
+        assert (len(calls), len(set(calls))) == (7, 6)
+        assert calls.count(("x:0; x^2+x+1:1/2; x^4+2*x^3+3*x^2+4*x+1:5/4", f)) == 2
+        assert sum(top for _, _, top in computed) == 6
+        # the digits reduced below the last stage are computed once per (stage, g) too
+        assert len(computed) == len({(st_, g) for st_, g, _ in computed})
+
 
 class TestGradedRing:
     def test_units_at_gauss(self):
