@@ -23,7 +23,6 @@ from .approach import (
     graded_factorization,
     in_VF,
     max_augmentation_value,
-    screen_irreducible,
 )
 from .artin_schreier import (
     ASCase,
@@ -73,7 +72,6 @@ __all__ = [
     "graded_factorization",
     "in_VF",
     "max_augmentation_value",
-    "screen_irreducible",
     "ASCase",
     "ASReport",
     "artin_schreier_polynomial",

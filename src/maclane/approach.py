@@ -1,4 +1,4 @@
-"""Approaching an irreducible polynomial F through augmentations.
+"""Approaching a polynomial F through augmentations.
 
 The approach set of F consists of the chains whose initial form of F is not
 yet a unit: those are exactly the valuations that can still be augmented to
@@ -7,6 +7,12 @@ maximal augmentation value for a key (the first slope of the Newton polygon
 of F in that key), factors initial forms into key initial forms, and
 enumerates the branches of the augmentation tree to at most ``MAX_DEPTH``
 augmentations, reporting per-branch ramification and residue degree.
+
+The enumeration takes any monic, squarefree F of degree >= 1, reducible or
+not; each branch carries the irreducible factors of F over the completion
+that it approaches.  Squarefreeness is not tested up front: a repeated
+factor can only end its branch at a support node, and there it is detected
+exactly (see ``enumerate_extensions``).
 """
 
 from __future__ import annotations
@@ -18,69 +24,11 @@ from .base import INF, InvariantError, format_value
 from .poly import Polynomial
 from . import ffield
 from .chains import MacLaneChain
-from .newton import NewtonPolygon, newton_polygon
+from .newton import NewtonPolygon
 
 # Depth cap of the augmentation tree, echoed as "budget" in the survey JSON.
 # A branch that reaches it is reported as non-terminal "budget-exhausted".
 MAX_DEPTH = 16
-
-
-# -- cheap reducibility screen ------------------------------------------------
-
-
-def _divisors(n: int):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-_SCREEN_BOUND = 10 ** 6
-
-
-def screen_irreducible(f: Polynomial) -> None:
-    """Raise ValueError when f is provably reducible by cheap tests.
-
-    Passing the screen is not a proof of irreducibility: over Q it runs the
-    rational root test (complete for degrees 2 and 3 when coefficients are
-    small), over F_p(t) it only tries constant roots.  Callers that need a
-    guarantee must supply polynomials known to be irreducible.
-    """
-    if f.degree() < 1:
-        raise ValueError("constant polynomials are not irreducible")
-    if not f.is_monic():
-        raise ValueError("expected a monic polynomial")
-    if f.degree() == 1:
-        return
-    base = f.field
-    if f.constant_coeff().is_zero():
-        raise ValueError("reducible: divisible by x")
-    if base.kind == "Q":
-        from math import lcm
-
-        den = 1
-        for c in f.coeffs:
-            den = lcm(den, c.payload.denominator)
-        ints = [int(c.payload * den) for c in f.coeffs]
-        if abs(ints[0]) > _SCREEN_BOUND or den > _SCREEN_BOUND:
-            return
-        for a in _divisors(ints[0]):
-            for b in _divisors(den):
-                for num in (a, -a):
-                    r = Fraction(num, b)
-                    if f(base.from_fraction(r)).is_zero():
-                        raise ValueError(f"reducible: rational root {r}")
-    else:
-        if base.p <= 100:
-            for c in range(base.p):
-                if f(base.from_int(c)).is_zero():
-                    raise ValueError(f"reducible: constant root {c}")
 
 
 # -- membership and maximal augmentation ---------------------------------------
@@ -116,12 +64,19 @@ def max_augmentation_value(chain: MacLaneChain, q: Polynomial, f: Polynomial):
     """
     if not chain.divides_in_graded(q, f):
         raise ValueError("in(q) does not divide in(f)")
-    if chain.truncate(q, f).digits[0].is_zero():
-        return INF
-    alpha = -newton_polygon(chain, q, f).first_slope()
+    alpha = _branch_values(chain, q, f)[0]
     if not alpha > chain.valuate(q):
         raise InvariantError("polygon slope does not exceed the key value")
     return alpha
+
+
+def _branch_values(chain: MacLaneChain, q: Polynomial, f: Polynomial) -> list:
+    """The values to augment q at toward f, largest first: inf when q divides
+    f, then the negated slopes of the Newton polygon of f in q, whose points
+    of infinite value (zero digits) are dropped."""
+    values = chain.truncate(q, f).digit_values
+    alphas = [INF] if values[0] is INF else []
+    return alphas + [-side.slope for side in NewtonPolygon.from_points(enumerate(values)).sides]
 
 
 def augment_toward(chain: MacLaneChain, f: Polynomial) -> MacLaneChain:
@@ -305,23 +260,38 @@ def count_extensions_lower_bound(survey: ExtensionSurvey) -> int:
 
 
 def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
-    """Enumerate extension branches for irreducible monic f.
+    """Enumerate extension branches for monic, squarefree f of degree >= 1.
 
-    Branching starts from the sides of the Newton polygon of f in x (one
-    branch seed per side, at the negated slope) and recurses through the
-    non-key entries of each node's graded factorization: at inf first when
-    the entry's key q divides f, then at each side of the polygon of f (or
-    f/q) in q whose negated slope exceeds v(q).  The in(key) part is not
-    branched on: it lies on steeper sides of the parent's polygon, which are
-    the node's siblings.
+    f may be reducible.  Branching starts from the Gauss valuation's branch
+    values on x: at inf first when x divides f, then one branch seed per side
+    of the Newton polygon of f in x, at the negated slope.  It recurses
+    through the non-key entries of each node's graded factorization: at inf
+    first when the entry's key q divides f, then at each side of the polygon
+    of f (or f/q) in q whose negated slope exceeds v(q).  The in(key) part is
+    not branched on: it lies on steeper sides of the parent's polygon, which
+    are the node's siblings.
 
     A node is terminal when its chain is a support chain, or when the argmin
     spread of f along the minimal key is exactly one (stabilized: the branch
     pins a single extension and its invariants no longer change).  When a
     single multiplicity-one entry remains and f itself is a key polynomial,
     the branch closes immediately with the support chain [chain; (f, inf)].
+
+    Squarefreeness is checked where a certificate is issued: a support node
+    whose generator phi has phi^2 | f raises ValueError.  That one division
+    is exact.  Let f = g^2 h with g irreducible over the completion.  A
+    stabilized node with minimal key phi carries a single simple factor of f,
+    of degree deg phi.  g has degree >= deg phi, since a polynomial of lower
+    degree than a key has a unit initial form, so the g^2 part of a branch
+    through g's roots has degree >= 2 deg phi and that branch never
+    stabilizes.  It is certified only at a support node, whose generator is
+    irreducible and divides f, so it is g.  Hence a non-squarefree f is
+    rejected or reported with a non-terminal branch, never certified.
     """
-    screen_irreducible(f)
+    if f.degree() < 1:
+        raise ValueError("expected a polynomial of degree >= 1")
+    if not f.is_monic():
+        raise ValueError("expected a monic polynomial")
     tree = AugmentationTree()
     root = tree.add_node(f"{f}  over  {base}")
     reports = []
@@ -335,22 +305,22 @@ def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
 
     def explore(chain, depth, parent, edge_label):
         vf = chain.valuate(f)
-        nid = tree.add_node(f"{chain}\nvalue(f) = {format_value(vf)}")
-        tree.add_edge(parent, nid, edge_label)
         if vf is INF:
-            tree.nodes[nid] = (nid, tree.nodes[nid][1], True)
+            phi = chain.support_generator()
+            if ((f // phi) % phi).is_zero():
+                raise ValueError(f"f is not squarefree: ({phi})^2 divides it")
+            reason = "support"
+        else:
+            tr = chain.truncate(chain.minimal_key(), f)
+            spread = max(tr.s_set) - min(tr.s_set)
+            if spread == 0:
+                raise InvariantError("node left the approach set or is a pure key power")
+            reason = "stabilized" if spread == 1 else None
+        nid = tree.add_node(f"{chain}\nvalue(f) = {format_value(vf)}", reason is not None)
+        tree.add_edge(parent, nid, edge_label)
+        if reason is not None:
             reports.append(BranchReport(
-                chain, True, "support",
-                chain.ramification_index(), chain.inertia_degree(), depth))
-            return
-        tr = chain.truncate(chain.minimal_key(), f)
-        spread = max(tr.s_set) - min(tr.s_set)
-        if spread == 0:
-            raise InvariantError("node left the approach set or is a pure key power")
-        if spread == 1:
-            tree.nodes[nid] = (nid, tree.nodes[nid][1], True)
-            reports.append(BranchReport(
-                chain, True, "stabilized",
+                chain, True, reason,
                 chain.ramification_index(), chain.inertia_degree(), depth))
             return
         summary = graded_factorization(chain, f)
@@ -368,19 +338,15 @@ def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
             return
         for entry in branch_entries:
             q = entry.key
-            values = chain.truncate(q, f).digit_values
-            alphas = [INF] if values[0] is INF else []
-            alphas += [-side.slope for side in NewtonPolygon.from_points(enumerate(values)).sides]
             vq = chain.valuate(q)
-            for alpha in alphas:
+            for alpha in _branch_values(chain, q, f):
                 if alpha > vq:
                     explore(chain.augment(q, alpha), depth + 1, nid,
                             f"{entry.factor} -> {format_value(alpha)}")
 
-    gauss = MacLaneChain.gauss(base)
-    poly = newton_polygon(gauss, Polynomial.x(base), f)
-    for side in poly.sides:
-        alpha = -side.slope
-        seed = MacLaneChain.stage_one(base, Polynomial.x(base), alpha)
-        explore(seed, 1, root, f"side slope {format_value(side.slope)}")
+    x = Polynomial.x(base)
+    for alpha in _branch_values(MacLaneChain.gauss(base), x, f):
+        seed = MacLaneChain.stage_one(base, x, alpha)
+        label = "x divides f; value inf" if alpha is INF else f"side slope {format_value(-alpha)}"
+        explore(seed, 1, root, label)
     return ExtensionSurvey(base, f, tuple(reports), tree)

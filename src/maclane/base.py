@@ -305,9 +305,9 @@ class FieldElem:
 
     ``payload`` is the element's unique normal form in its field, so equality
     and hashing compare payloads.  A subclass supplies ``is_zero``,
-    ``__add__``, ``__neg__``, ``__mul__``, ``inverse`` and ``__str__``; its
-    field supplies ``from_int`` and ``one``.  Ints coerce into the field;
-    an element of another field raises ValueError.
+    ``__add__``, ``__neg__``, ``__mul__``, ``inverse``, ``__str__`` and
+    ``_ONE``, the payload of 1; its field supplies ``from_int`` and ``one``.
+    Ints coerce into the field; an element of another field raises ValueError.
     """
 
     __slots__ = ("field", "payload")
@@ -318,6 +318,9 @@ class FieldElem:
 
     def __bool__(self):
         return not self.is_zero()
+
+    def is_one(self) -> bool:
+        return self.payload == self._ONE
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -392,6 +395,7 @@ class QElem(BaseElem):
     and a Fraction otherwise (never a float; see the module docstring)."""
 
     __slots__ = ()
+    _ONE = 1
 
     def is_zero(self) -> bool:
         return not self.payload
@@ -436,6 +440,7 @@ class FptElem(BaseElem):
     times a constant, as for Laurent polynomials, that takes no gcd."""
 
     __slots__ = ()
+    _ONE = ((1,), (1,))
 
     def is_zero(self) -> bool:
         return not self.payload[0]

@@ -407,26 +407,27 @@ class MacLaneChain:
 
     # -- comparison -----------------------------------------------------------------------
 
-    def compare(self, other: "MacLaneChain", sample) -> str:
-        """Pointwise comparison on a finite sample of polynomials.
+    def compare(self, other: "MacLaneChain") -> str:
+        """The order of the two valuations: "le", "ge", "equal" or "incomparable".
 
-        Returns "le", "ge", "equal-on-sample" or "incomparable-on-sample".
-        A sample verdict never certifies a global order.
+        mu <= nu exactly when nu(phi_i) >= lambda_i at every stage (phi_i,
+        lambda_i) of mu.  Necessity holds because lambda_i = mu(phi_i).  For
+        sufficiency, induct on the stages: a digit f_i of the phi_t-expansion
+        of f has lower degree than phi_t, so mu(f_i) is its value under the
+        first t - 1 stages, which nu bounds by induction, and then
+        nu(f) >= min nu(f_i) + i nu(phi_t) >= min mu(f_i) + i lambda_t = mu(f).
         """
         if not isinstance(other, MacLaneChain) or other.base is not self.base:
             raise ValueError("chains over different base fields")
-        sample = list(sample)
-        if not sample:
-            raise ValueError("empty sample")
-        le = all(self.valuate(f) <= other.valuate(f) for f in sample)
-        ge = all(other.valuate(f) <= self.valuate(f) for f in sample)
+        le = all(other.valuate(st.key) >= st.value for st in self.stages)
+        ge = all(self.valuate(st.key) >= st.value for st in other.stages)
         if le and ge:
-            return "equal-on-sample"
+            return "equal"
         if le:
             return "le"
         if ge:
             return "ge"
-        return "incomparable-on-sample"
+        return "incomparable"
 
 
 def _build_stage(base, prefix_stages, key, value) -> Stage:

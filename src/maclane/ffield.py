@@ -142,6 +142,7 @@ class FFElem(FieldElem):
 
     __slots__ = ()
     coeffs = FieldElem.payload
+    _ONE = (1,)
 
     def is_zero(self):
         return not self.coeffs

@@ -96,7 +96,7 @@ class Polynomial:
         return bool(self.coeffs)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.coeffs) and self.coeffs[-1].is_one()
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -182,12 +182,14 @@ class Polynomial:
         if len(rem) <= dq:
             return type(self).zero(self.field), self
         quo = [self.field.zero()] * (len(rem) - dq)
+        # the leading term cancels by construction, and only rem[:dq] is returned
+        low = other.coeffs[:-1]
         for i in range(len(rem) - dq - 1, -1, -1):
             c = rem[i + dq]
             if c.is_zero():
                 continue
             quo[i] = c
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(low):
                 rem[i + j] = rem[i + j] - c * b
         return type(self)(self.field, quo), type(self)(self.field, rem[:dq])
 

@@ -1,7 +1,10 @@
 """Approach sets, graded factorization, and extension branch enumeration."""
 
+import importlib.util
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,6 @@ from maclane import (
     in_VF,
     max_augmentation_value,
     parse_polynomial,
-    screen_irreducible,
 )
 from maclane import approach
 
@@ -35,35 +37,6 @@ def pol(field, s):
 
 def chain(field, s):
     return MacLaneChain.parse(field, s)
-
-
-class TestScreen:
-    def test_accepts_plausible_candidates(self):
-        screen_irreducible(pol(B2, "x^2+2"))
-        screen_irreducible(pol(B2, "x+5"))
-        screen_irreducible(pol(F3T, "x^2+t"))
-        # the screen is rational only: 5-adic reducibility is not its job
-        screen_irreducible(pol(B5, "x^2+1"))
-
-    def test_rational_root(self):
-        with pytest.raises(ValueError):
-            screen_irreducible(pol(B2, "x^2+3*x+2"))
-        with pytest.raises(ValueError):
-            screen_irreducible(pol(B2, "x^2 - 1/4"))
-
-    def test_divisible_by_x(self):
-        with pytest.raises(ValueError):
-            screen_irreducible(pol(B2, "x^2"))
-
-    def test_shape_requirements(self):
-        with pytest.raises(ValueError):
-            screen_irreducible(pol(B2, "2*x"))
-        with pytest.raises(ValueError):
-            screen_irreducible(pol(B2, "7"))
-
-    def test_constant_root_over_function_field(self):
-        with pytest.raises(ValueError):
-            screen_irreducible(pol(F3T, "x^2+2"))
 
 
 class TestMembership:
@@ -265,9 +238,11 @@ class TestEnumerate:
         assert not all(r.terminal for r in sv.reports)
         assert sv.to_json()["budget"] == 1
 
-    def test_screen_applies(self):
+    def test_shape_requirements(self):
         with pytest.raises(ValueError):
-            enumerate_extensions(B2, pol(B2, "x^2+3*x+2"))
+            enumerate_extensions(B2, pol(B2, "2*x"))
+        with pytest.raises(ValueError):
+            enumerate_extensions(B2, pol(B2, "7"))
 
     def test_dot_export(self):
         sv = enumerate_extensions(B5, pol(B5, "x^2+1"))
@@ -317,3 +292,81 @@ class TestEveryPrincipalSide:
             ("x:1/2; x^2+2:inf", True, "support", 2, 1),
             ("x:1/2; x^2+2:2", True, "stabilized", 2, 1),
         ]
+
+
+class TestSquarefreeContract:
+    """enumerate_extensions takes monic squarefree f, reducible or not, and
+    rejects a repeated factor at the support node that would certify it."""
+
+    @pytest.mark.parametrize("base, text, ef", [
+        (B2, "x^2+3*x+2", [(1, 1), (1, 1)]),
+        (F3T, "(x+2)*(x^2+t)", [(1, 1), (2, 1)]),
+        (B2, "x*(x^2+3)", [(1, 1), (1, 2)]),
+    ], ids=["two-rational-roots", "fpt-product", "x-times-inert"])
+    def test_certified_products(self, base, text, ef):
+        f = pol(base, text)
+        sv = enumerate_extensions(base, f)
+        assert all(r.terminal for r in sv.reports)
+        assert sorted((r.e, r.f) for r in sv.reports) == ef
+        assert sum(e * f_ for e, f_ in ef) == f.degree()
+
+    def test_x_divides_f_is_a_support_branch(self):
+        sv = enumerate_extensions(B2, pol(B2, "x^2+x"))
+        assert branch_summaries(sv) == [
+            ("x:inf", True, "support", 1, 1),
+            ("x:0", True, "stabilized", 1, 1),
+        ]
+        assert sv.tree.edges[0] == (0, 1, "x divides f; value inf")
+
+    @pytest.mark.parametrize("kind, p, text", [
+        ("Q", 2, "x^3+x^2"),
+        ("Q", 2, "x^2"),
+        ("Fpt", 2, "x^2+t^2"),
+        ("Fpt", 3, "x^3+2*t^3"),
+        ("Fpt", 2, "x^5+(1/t^2)*x^4+t^2*x^3+t^2"),
+    ])
+    def test_repeated_factor_rejected(self, kind, p, text):
+        base = BaseField.of(kind, p)
+        with pytest.raises(ValueError, match="not squarefree"):
+            enumerate_extensions(base, pol(base, text))
+
+
+# -- an independent oracle: repeated factors known by construction -------------
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_inputs", Path(__file__).resolve().parent.parent / "bench" / "inputs.py")
+bench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_inputs)
+
+_KINDS = ("E1", "U1", "E2", "U2")
+
+
+def _non_squarefree(kind, p, shape, i):
+    """g^2, g^2*h or g^3 as text, from the bench's irreducible factors g != h."""
+    fpt = kind == "Fpt"
+    R = bench_inputs.LaurentRing(p) if fpt else bench_inputs.IntRing()
+    rng = random.Random(f"non-squarefree/{kind}/{p}/{shape}/{i}")
+    g, _ = bench_inputs._enum_factor(R, rng, _KINDS[i % 4], p, fpt, i % 2 == 1, 0)
+    factors = [g] * (3 if shape == "g3" else 2)
+    if shape == "g2h":
+        h = g
+        while h == g:
+            h, _ = bench_inputs._enum_factor(R, rng, _KINDS[(i + 1) % 4], p, fpt, False, 0)
+        factors.append(h)
+    prod = [R.one]
+    for f in factors:
+        prod = bench_inputs.pmul(R, prod, f)
+    return bench_inputs.poly_text(R, prod)
+
+
+@pytest.mark.parametrize("shape", ["g2", "g2h", "g3"])
+@pytest.mark.parametrize("kind, p", [("Q", 2), ("Q", 3), ("Q", 5), ("Fpt", 2), ("Fpt", 3)])
+def test_no_certificate_for_a_repeated_factor(kind, p, shape):
+    base = BaseField.of(kind, p)
+    for i in range(8):
+        text = _non_squarefree(kind, p, shape, i)
+        try:
+            sv = enumerate_extensions(base, pol(base, text))
+        except ValueError:
+            continue
+        assert not all(r.terminal for r in sv.reports), text
