@@ -5,20 +5,19 @@ yet a unit: those are exactly the valuations that can still be augmented to
 increase the value of F.  This module decides membership, computes the
 maximal augmentation value for a key (the first slope of the Newton polygon
 of F in that key), factors initial forms into key initial forms, and
-enumerates the branches of the augmentation tree to at most ``MAX_DEPTH``
-augmentations, reporting per-branch ramification and residue degree.
+enumerates the branches of the augmentation tree, reporting per-branch
+ramification and residue degree.
 
 The enumeration takes any monic, squarefree F of degree >= 1, reducible or
 not; each branch carries the irreducible factors of F over the completion
-that it approaches.  Squarefreeness is not tested up front: a repeated
-factor can only end its branch at a support node, and there it is detected
-exactly (see ``enumerate_extensions``).
+that it approaches, and every branch is certified.  Squarefreeness is not
+tested up front: a repeated factor is caught at a support node, or by one
+exact test once a branch grows deep (see ``enumerate_extensions``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .base import INF, InvariantError, format_value
 from .poly import Polynomial
@@ -26,9 +25,8 @@ from . import ffield
 from .chains import MacLaneChain
 from .newton import NewtonPolygon
 
-# Depth cap of the augmentation tree, echoed as "budget" in the survey JSON.
-# A branch that reaches it is reported as non-terminal "budget-exhausted".
-MAX_DEPTH = 16
+# Depth at which the exact squarefree test first runs; no output depends on it.
+_SQUAREFREE_TEST_DEPTH = 8
 
 
 # -- membership and maximal augmentation ---------------------------------------
@@ -49,11 +47,7 @@ def in_VF(chain: MacLaneChain, f: Polynomial) -> bool:
 
 def already_maximal(chain: MacLaneChain, f: Polynomial) -> bool:
     """Whether no augmentation of the chain can increase the value of f."""
-    if f.is_zero():
-        raise ValueError("cannot approach the zero polynomial")
-    if chain.valuate(f) is INF:
-        return True
-    return chain.is_unit_in_graded(f)
+    return not in_VF(chain, f) or chain.valuate(f) is INF
 
 
 def max_augmentation_value(chain: MacLaneChain, q: Polynomial, f: Polynomial):
@@ -62,21 +56,26 @@ def max_augmentation_value(chain: MacLaneChain, q: Polynomial, f: Polynomial):
     Requires in(q) | in(f).  Returns inf when q literally divides f; otherwise
     the negative of the first slope of the Newton polygon of f in q.
     """
+    return _key_branch_values(chain, q, f)[0]
+
+
+def _key_branch_values(chain: MacLaneChain, q: Polynomial, f: Polynomial) -> tuple:
+    """``_branch_values`` of a key q with in(q) | in(f); the first exceeds v(q)."""
     if not chain.divides_in_graded(q, f):
         raise ValueError("in(q) does not divide in(f)")
-    alpha = _branch_values(chain, q, f)[0]
-    if not alpha > chain.valuate(q):
+    alphas = _branch_values(chain, q, f)
+    if not alphas[0] > chain.valuate(q):
         raise InvariantError("polygon slope does not exceed the key value")
-    return alpha
+    return alphas
 
 
-def _branch_values(chain: MacLaneChain, q: Polynomial, f: Polynomial) -> list:
+def _branch_values(chain: MacLaneChain, q: Polynomial, f: Polynomial) -> tuple:
     """The values to augment q at toward f, largest first: inf when q divides
     f, then the negated slopes of the Newton polygon of f in q, whose points
     of infinite value (zero digits) are dropped."""
     values = chain.truncate(q, f).digit_values
-    alphas = [INF] if values[0] is INF else []
-    return alphas + [-side.slope for side in NewtonPolygon.from_points(enumerate(values)).sides]
+    alphas = (INF,) if values[0] is INF else ()
+    return alphas + tuple(-side.slope for side in NewtonPolygon.from_points(enumerate(values)).sides)
 
 
 def augment_toward(chain: MacLaneChain, f: Polynomial) -> MacLaneChain:
@@ -104,8 +103,13 @@ class FactorEntry:
     factor: str                 # irreducible residual factor, in y
     key: Polynomial             # key polynomial carrying this factor
     multiplicity: int
-    proposed_value: object      # Fraction | INF: max augmentation value for key
+    branch_values: tuple        # the key's values toward f, largest first
     is_current_key: bool        # True for the in(key) part itself
+
+    @property
+    def proposed_value(self):
+        """Fraction | INF: the max augmentation value for key."""
+        return self.branch_values[0]
 
     def to_json(self):
         return {
@@ -135,19 +139,14 @@ class GradedFactorSummary:
         }
 
 
-def _entry_order(e: FactorEntry):
-    if e.proposed_value is INF:
-        return (1, Fraction(0), e.factor)
-    return (0, e.proposed_value, e.factor)
-
-
 def graded_factorization(chain: MacLaneChain, f: Polynomial) -> GradedFactorSummary:
     """Factor in(f) into initial forms of key polynomials.
 
     in(f) = unit * in(key)^m0 * prod in(Q_h)^m_h, where the Q_h lift the
     irreducible residual factors h distinct from y.  Each entry carries its
-    maximal augmentation value; entries are sorted by that value, then by
-    the factor.  in(f) is a unit exactly when there are no entries.
+    key's branch values toward f, the first being its maximal augmentation
+    value; entries are sorted by that value, then by the factor.  in(f) is a
+    unit exactly when there are no entries.
     """
     if f.is_zero():
         raise ValueError("cannot factor the initial form of zero")
@@ -163,11 +162,11 @@ def graded_factorization(chain: MacLaneChain, f: Polynomial) -> GradedFactorSumm
             phi_mult += st.rel_denom * m
             continue
         key = chain.lift_residual(h)
-        entries.append(FactorEntry(str(h), key, m, max_augmentation_value(chain, key, f), False))
+        entries.append(FactorEntry(str(h), key, m, _key_branch_values(chain, key, f), False))
     if phi_mult > 0:
         key = chain.minimal_key()
-        entries.append(FactorEntry("y", key, phi_mult, max_augmentation_value(chain, key, f), True))
-    entries.sort(key=_entry_order)
+        entries.append(FactorEntry("y", key, phi_mult, _key_branch_values(chain, key, f), True))
+    entries.sort(key=lambda e: (e.proposed_value, e.factor))    # INF sorts last
     return GradedFactorSummary(v, i0, j0, str(unit), tuple(entries), not entries)
 
 
@@ -208,15 +207,14 @@ class AugmentationTree:
 class BranchReport:
     """One branch of the augmentation tree.
 
-    terminal=True means certified: either a support chain (the branch carries
-    the valuation with value inf on f) or a stabilized chain whose argmin
-    spread is one, pinning a single extension.  terminal=False means the
-    branch reached ``MAX_DEPTH``; e and f are then lower bounds.
+    Every branch is certified, so terminal is always True: either a support
+    chain (the branch carries the valuation with value inf on f) or a
+    stabilized chain whose argmin spread is one, pinning a single extension.
     """
 
     chain: MacLaneChain
     terminal: bool
-    reason: str                 # "support" | "stabilized" | "budget-exhausted"
+    reason: str                 # "support" | "stabilized"
     e: int
     f: int
     rounds: int
@@ -241,22 +239,32 @@ class ExtensionSurvey:
     tree: AugmentationTree
 
     def to_json(self):
-        certified = all(r.terminal for r in self.reports)
         return {
             "base": str(self.base),
             "poly": str(self.poly),
-            "budget": MAX_DEPTH,
             "count_lower_bound": len(self.reports),
-            "all_terminal": certified,
+            "all_terminal": all(r.terminal for r in self.reports),
             "sum_ef": sum(r.e * r.f for r in self.reports),
             "branches": [r.to_json() for r in self.reports],
         }
 
 
 def count_extensions_lower_bound(survey: ExtensionSurvey) -> int:
-    """Distinct branches found; each carries at least one extension of the
-    base valuation to K[x]/(f), so this bounds their number from below."""
+    """Distinct branches found.  Every branch is certified and carries exactly
+    one extension of the base valuation to K[x]/(f), so this is their number."""
     return len(survey.reports)
+
+
+def _is_squarefree(f: Polynomial) -> bool:
+    """Whether gcd(f, f', D f) = 1, where D applies the base field's
+    derivation (0 on Q, d/dt on F_p(t)) to every coefficient.
+
+    That is exactly squarefreeness.  If g^2 | f, g divides f' and D f.  Let g
+    be irreducible with g | f exactly once, and let g divide f' and D f.  Then
+    g' = D g = 0, so g is a p-th power (over Q, a constant): a contradiction.
+    The Bezout identity carries over, so f is squarefree over the completion."""
+    D = Polynomial(f.field, (f.field.derivation(c) for c in f.coeffs))
+    return f.gcd(f.derivative()).gcd(D).degree() == 0
 
 
 def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
@@ -264,12 +272,12 @@ def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
 
     f may be reducible.  Branching starts from the Gauss valuation's branch
     values on x: at inf first when x divides f, then one branch seed per side
-    of the Newton polygon of f in x, at the negated slope.  It recurses
+    of the Newton polygon of f in x, at the negated slope.  It descends
     through the non-key entries of each node's graded factorization: at inf
     first when the entry's key q divides f, then at each side of the polygon
     of f (or f/q) in q whose negated slope exceeds v(q).  The in(key) part is
     not branched on: it lies on steeper sides of the parent's polygon, which
-    are the node's siblings.
+    are the node's siblings.  The walk is depth first on an explicit stack.
 
     A node is terminal when its chain is a support chain, or when the argmin
     spread of f along the minimal key is exactly one (stabilized: the branch
@@ -285,8 +293,11 @@ def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
     degree than a key has a unit initial form, so the g^2 part of a branch
     through g's roots has degree >= 2 deg phi and that branch never
     stabilizes.  It is certified only at a support node, whose generator is
-    irreducible and divides f, so it is g.  Hence a non-squarefree f is
-    rejected or reported with a non-terminal branch, never certified.
+    irreducible and divides f, so it is g; or the branch never ends.  So the
+    first node to branch at depth >= ``_SQUAREFREE_TEST_DEPTH`` runs the exact
+    ``_is_squarefree`` once, and ValueError is raised if it fails.  Mac Lane's
+    algorithm terminates for squarefree f over a complete, discretely valued
+    field, so every branch then ends certified, with no cap.
     """
     if f.degree() < 1:
         raise ValueError("expected a polynomial of degree >= 1")
@@ -303,7 +314,17 @@ def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
         reports.append(BranchReport(chain, True, "support", 1, 1, 1))
         return ExtensionSurvey(base, f, tuple(reports), tree)
 
-    def explore(chain, depth, parent, edge_label):
+    # (chain, key, value, depth, parent, edge label), last child first; a node
+    # is its chain augmented by (key, value), and a seed is the chain [x: value]
+    x = Polynomial.x(base)
+    stack = []
+    for alpha in _branch_values(MacLaneChain.gauss(base), x, f):
+        label = "x divides f; value inf" if alpha is INF else f"side slope {format_value(-alpha)}"
+        stack.insert(0, (None, x, alpha, 1, root, label))
+    tested = False
+    while stack:
+        prev, key, alpha, depth, parent, edge_label = stack.pop()
+        chain = MacLaneChain.stage_one(base, key, alpha) if prev is None else prev.augment(key, alpha)
         vf = chain.valuate(f)
         if vf is INF:
             phi = chain.support_generator()
@@ -322,31 +343,21 @@ def enumerate_extensions(base, f: Polynomial) -> ExtensionSurvey:
             reports.append(BranchReport(
                 chain, True, reason,
                 chain.ramification_index(), chain.inertia_degree(), depth))
-            return
+            continue
         summary = graded_factorization(chain, f)
         branch_entries = [e for e in summary.entries if not e.is_current_key]
         if len(branch_entries) == 1 and branch_entries[0].multiplicity == 1 \
                 and not any(e.is_current_key for e in summary.entries) \
                 and chain.is_key_polynomial(f):
-            child = chain.augment(f, INF)
-            explore(child, depth + 1, nid, "f is key; value inf")
-            return
-        if depth >= MAX_DEPTH:
-            reports.append(BranchReport(
-                chain, False, "budget-exhausted",
-                chain.ramification_index(), chain.inertia_degree(), depth))
-            return
-        for entry in branch_entries:
-            q = entry.key
-            vq = chain.valuate(q)
-            for alpha in _branch_values(chain, q, f):
-                if alpha > vq:
-                    explore(chain.augment(q, alpha), depth + 1, nid,
-                            f"{entry.factor} -> {format_value(alpha)}")
-
-    x = Polynomial.x(base)
-    for alpha in _branch_values(MacLaneChain.gauss(base), x, f):
-        seed = MacLaneChain.stage_one(base, x, alpha)
-        label = "x divides f; value inf" if alpha is INF else f"side slope {format_value(-alpha)}"
-        explore(seed, 1, root, label)
+            stack.append((chain, f, INF, depth + 1, nid, "f is key; value inf"))
+            continue
+        if depth >= _SQUAREFREE_TEST_DEPTH and not tested:
+            if not _is_squarefree(f):
+                raise ValueError("f is not squarefree")
+            tested = True
+        for entry in reversed(branch_entries):
+            vq = chain.valuate(entry.key)
+            stack += [(chain, entry.key, alpha, depth + 1, nid,
+                       f"{entry.factor} -> {format_value(alpha)}")
+                      for alpha in reversed(entry.branch_values) if alpha > vq]
     return ExtensionSurvey(base, f, tuple(reports), tree)

@@ -68,10 +68,14 @@ class ASReport:
         }
 
 
-def artin_schreier_polynomial(base: BaseField, a) -> Polynomial:
+def _own_fpt(base: BaseField, a):
     if base.kind != "Fpt":
         raise ValueError("Artin-Schreier classification needs a rational function field")
-    a = base._own(a)
+    return base._own(a)
+
+
+def artin_schreier_polynomial(base: BaseField, a) -> Polynomial:
+    a = _own_fpt(base, a)
     middle = (base.zero(),) * (base.p - 2)
     return Polynomial(base, (-a, base.from_int(-1)) + middle + (base.one(),))
 
@@ -103,25 +107,25 @@ def improve_witness(base: BaseField, a, b):
     wi = int(w)
     if wi % base.p:
         raise ValueError("value prime to p admits no improvement (ramified case)")
-    return _improved(base, b, Fb, wi)
+    return b + _step(base, Fb, wi)
 
 
-def _improved(base, b, Fb, wi):
-    """The step of ``improve_witness`` from Fb = F(b), of value wi."""
+def _step(base, Fb, wi):
+    """The step s = t^(w/p) * eta of ``improve_witness`` from Fb = F(b), of value wi."""
     t = base.uniformizer()
     r = base.residue(Fb * t ** (-wi))
-    return b + t ** (wi // base.p) * base.from_int(-r)
+    return t ** (wi // base.p) * base.from_int(-r)
 
 
 def classify(base: BaseField, a) -> ASReport:
-    """Classify x^p - x - a; the loop ends within the module docstring's bound."""
-    F = artin_schreier_polynomial(base, a)
+    """Classify x^p - x - a; the loop ends within the module docstring's bound.
+    F is never evaluated: F(0) = -a, and F(b + s) = F(b) + s^p - s."""
     p = base.p
     b = base.zero()
+    Fb = -_own_fpt(base, a)
     trace = []
     improvements = 0
     while True:
-        Fb = F(b)
         w = base.valuation(Fb)
         if trace and w is not INF and not w > trace[-1][1]:
             raise InvariantError("witness improvement did not increase the value")
@@ -149,7 +153,8 @@ def classify(base: BaseField, a) -> ASReport:
             return ASReport(
                 ASCase.RamifiedP, p, a, b, w, p, 1, 1, 1, improvements,
                 tuple(trace), None, None)
-        b = _improved(base, b, Fb, wi)
+        s = _step(base, Fb, wi)
+        b, Fb = b + s, Fb + s ** p - s
         improvements += 1
 
 

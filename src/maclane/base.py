@@ -216,6 +216,10 @@ class QField(BaseField):
     def uniformizer(self) -> "QElem":
         return self.from_int(self.p)
 
+    def derivation(self, a: "QElem") -> "QElem":
+        """The zero derivation: Q has no other."""
+        return self._own(a).field.zero()
+
     def _order(self, q) -> int:
         return _padic(q.numerator, self.p) - _padic(q.denominator, self.p)
 
@@ -240,6 +244,13 @@ class FptField(BaseField):
 
     def uniformizer(self) -> "FptElem":
         return self.t()
+
+    def derivation(self, a: "FptElem") -> "FptElem":
+        """d/dt of a, by the quotient rule (n/d)' = (n'd - nd')/d^2."""
+        (n, d), p = self._own(a).payload, self.p
+        dn, dd = [i * c for i, c in enumerate(n)][1:], [i * c for i, c in enumerate(d)][1:]
+        num = fppoly.sub(fppoly.mul(dn, d, p), fppoly.mul(n, dd, p), p)
+        return FptElem(self, _reduce_fpt(num, fppoly.mul(d, d, p), p))
 
     def _order(self, payload) -> int:
         num, den = payload

@@ -70,8 +70,6 @@ class Stage:
 
 def _bezout(n: int, d: int):
     """a, b with a*n + b*d = 1 and 0 <= a < d; requires gcd(n, d) = 1."""
-    if d == 1:
-        return 0, 1 - 0 * n
     a = pow(n % d, -1, d)
     b = (1 - a * n) // d
     return a, b
@@ -471,11 +469,8 @@ def _build_stage(base, prefix_stages, key, value) -> Stage:
                 basis.append(embed(sub.gen() ** ii) * zj)
         solver = ffield.linear_solver(big, basis)
 
-        def to_prev(w, _solver=solver, _sub=sub, _fdeg=fdeg):
-            coords = _solver(w)
-            out = []
-            for jj in range(_fdeg):
-                out.append(_sub.elem(coords[jj * _sub.k:(jj + 1) * _sub.k]))
-            return out
+        def to_prev(w):
+            coords = solver(w)
+            return [sub.elem(coords[jj * sub.k:(jj + 1) * sub.k]) for jj in range(fdeg)]
 
     return Stage(key, value, denom, rel, numer, a, b, big, residual, embed, z_root, to_prev, prev_st)

@@ -95,12 +95,9 @@ def cmd_approach(args, base):
     f = parse_polynomial(base, args.poly)
     value = chain.valuate(f)
     alpha1 = None
-    if not chain.is_support() and value is not INF:
-        try:
-            if chain.divides_in_graded(chain.minimal_key(), f):
-                alpha1 = format_value(ap.max_augmentation_value(chain, chain.minimal_key(), f))
-        except ValueError:
-            alpha1 = None
+    if not chain.is_support() and value is not INF \
+            and chain.divides_in_graded(chain.minimal_key(), f):
+        alpha1 = format_value(ap.max_augmentation_value(chain, chain.minimal_key(), f))
     return {
         "base": str(base),
         "chain": str(chain),

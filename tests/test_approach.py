@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,9 +23,12 @@ from maclane import (
     graded_factorization,
     in_VF,
     max_augmentation_value,
+    parse_element,
     parse_polynomial,
 )
 from maclane import approach
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 B2 = BaseField.rationals(2)
 B3 = BaseField.rationals(3)
@@ -231,13 +237,6 @@ class TestEnumerate:
             sv = enumerate_extensions(base, f)
             assert sum(r.e * r.f for r in sv.reports) <= f.degree()
 
-    def test_budget_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(approach, "MAX_DEPTH", 1)
-        sv = enumerate_extensions(B5, pol(B5, "x^2+1"))
-        assert branch_summaries(sv) == [("x:0", False, "budget-exhausted", 1, 1)]
-        assert not all(r.terminal for r in sv.reports)
-        assert sv.to_json()["budget"] == 1
-
     def test_shape_requirements(self):
         with pytest.raises(ValueError):
             enumerate_extensions(B2, pol(B2, "2*x"))
@@ -263,6 +262,83 @@ class TestEnumerate:
         br = d["branches"][0]
         assert br["reason"] == "support"
         assert br["stages"] == [["x", "1/2"], ["x^2+2", "inf"]]
+
+
+# the squarefree fixtures of TestEnumerate and TestSquarefreeContract
+_SQUAREFREE_FIXTURES = [
+    (B5, "x^2+1"), (B3, "x^2+1"), (B2, "x^2+2"), (B3, "x^2+7"), (B2, "x+3"),
+    (F2T, "x^2+x+t"), (F2T, "x^2+x+1/t"), (F2T, "x^2+x+1/t^2"), (F3T, "x^3+2*x+2*t"),
+    (B2, "x^2+3*x+2"), (F3T, "(x+2)*(x^2+t)"), (B2, "x*(x^2+3)"), (B2, "x^2+x"),
+]
+
+
+class TestEveryBranchCertified:
+    """No depth cap: every branch ends at a support or stabilized node, and a
+    repeated factor is rejected, whatever depth the squarefree test runs at."""
+
+    @pytest.mark.parametrize("depth", [1, 64])
+    def test_output_does_not_depend_on_the_test_depth(self, monkeypatch, depth):
+        want = [enumerate_extensions(b, pol(b, text)).to_json() for b, text in _SQUAREFREE_FIXTURES]
+        monkeypatch.setattr(approach, "_SQUAREFREE_TEST_DEPTH", depth)
+        tests = []
+        is_squarefree = approach._is_squarefree
+        monkeypatch.setattr(approach, "_is_squarefree", lambda f: tests.append(f) or is_squarefree(f))
+        got = []
+        for base, text in _SQUAREFREE_FIXTURES:
+            got.append(enumerate_extensions(base, pol(base, text)).to_json())
+            assert tests.count(pol(base, text)) <= 1     # at most once per survey
+        assert json.dumps(got) == json.dumps(want)
+        assert bool(tests) is (depth == 1)
+        for base, text in [(F2T, "x^2+t^2"), (B2, "(x^2-17)^2")]:
+            with pytest.raises(ValueError, match="not squarefree"):
+                enumerate_extensions(base, pol(base, text))
+
+    @pytest.mark.parametrize("base, text, ef, rounds", [
+        (B2, "(x^2-17)^2+2^80", [(2, 1), (2, 1)], [24, 21]),
+        (B5, "(x^2+1)^2+5^80", [(1, 1)] * 4, [36, 36, 32, 32]),
+    ], ids=["q2-deep-ramified", "q5-deep-split"])
+    def test_deep_squarefree_inputs_are_certified(self, base, text, ef, rounds):
+        sv = enumerate_extensions(base, pol(base, text))
+        assert all(r.terminal for r in sv.reports)
+        assert [(r.e, r.f) for r in sv.reports] == ef
+        assert [r.rounds for r in sv.reports] == rounds
+        assert "budget" not in sv.to_json()
+
+    @pytest.mark.parametrize("base, text, squarefree", [
+        (F2T, "x^4+x^2+1+t", True),
+        (F2T, "(x^2+x+1)^2+t", True),           # f' = 0: only the d/dt term sees it
+        (F2T, "(x^2+x+t+t^5)^2", False),
+        (F2T, "x^2+t^2", False),
+        (B2, "(x^2-17)^2", False),
+        (B2, "(x^2-17)^2+2^80", True),
+        (B5, "x^5+50*x-1", True),
+    ])
+    def test_is_squarefree(self, base, text, squarefree):
+        assert approach._is_squarefree(pol(base, text)) is squarefree
+
+    def test_derivation(self):
+        assert B2.derivation(B2.from_fraction(Fraction(3, 4))).is_zero()
+        F3 = BaseField.rational_functions(3)
+        a = parse_element(F3, "(t^2+1)/(t^4+2*t)")
+        assert F3.derivation(a) == parse_element(F3, "(t+1)/(t^4+t^3+t^2)")
+        assert F3.derivation(parse_element(F3, "t^3+t")) == 1
+        with pytest.raises(ValueError):
+            F3.derivation(B2.one())
+
+    def test_deep_branch_needs_no_recursion(self):
+        # depth 173 under a recursion limit of 150: the walk is iterative
+        code = (
+            "import sys; from maclane import BaseField, enumerate_extensions, parse_polynomial\n"
+            "B = BaseField.rationals(2); f = parse_polynomial(B, '(x^2-17)^2+2^640')\n"
+            "sys.setrecursionlimit(150)\n"
+            "sv = enumerate_extensions(B, f)\n"
+            "print(sorted((r.e, r.f, r.rounds) for r in sv.reports))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(_SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[(2, 1, 152), (2, 1, 173)]"
 
 
 class TestEveryPrincipalSide:
@@ -365,8 +441,5 @@ def test_no_certificate_for_a_repeated_factor(kind, p, shape):
     base = BaseField.of(kind, p)
     for i in range(8):
         text = _non_squarefree(kind, p, shape, i)
-        try:
-            sv = enumerate_extensions(base, pol(base, text))
-        except ValueError:
-            continue
-        assert not all(r.terminal for r in sv.reports), text
+        with pytest.raises(ValueError, match="not squarefree"):
+            enumerate_extensions(base, pol(base, text))
