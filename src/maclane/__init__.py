@@ -7,7 +7,7 @@ classification, all in exact arithmetic.
 
 from .base import INF, BaseElem, BaseField, InvariantError, format_value, parse_value
 from .poly import Polynomial, QExpansion, parse_element, parse_polynomial, q_expansion
-from .ffield import FFElem, FFPoly, FiniteField, ff_factor, ff_roots
+from .ffield import FFElem, FFPoly, FiniteField, ff_factor
 from .chains import MacLaneChain, Stage, TruncationData
 from .newton import NewtonPolygon, Side, newton_polygon, polygon_svg
 from .approach import (
@@ -52,7 +52,6 @@ __all__ = [
     "FFPoly",
     "FiniteField",
     "ff_factor",
-    "ff_roots",
     "MacLaneChain",
     "Stage",
     "TruncationData",

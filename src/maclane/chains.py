@@ -20,9 +20,10 @@ Each stage carries the combinatorial data of its graded ring: the value
 group denominator D_s, the relative ramification d_s = D_s/D_{s-1}, the
 scaled value n_s = lambda_s * D_s with a Bezout pair a*n + b*d = 1, and the
 residue field k_s = k_{s-1}[z]/(R_s) flattened to GF(p^f), where R_s is the
-residual polynomial of phi_s over the previous stages.  ``reduce`` computes
-residual polynomials (the degree-zero content of an initial form in the
-graded ring), ``lift_residual`` inverts it, producing a monic key with a
+residual polynomial of phi_s over the previous stages; ``_build_stage``, the
+one constructor of a stage, gets k_s from ``ffield.adjoin_root``.  ``reduce``
+computes residual polynomials (the degree-zero content of an initial form in
+the graded ring), ``lift_residual`` inverts it, producing a monic key with a
 prescribed residual.
 """
 
@@ -106,20 +107,7 @@ class MacLaneChain:
     @classmethod
     def stage_one(cls, base: BaseField, key: Polynomial, value) -> "MacLaneChain":
         """Build a one-stage chain (key, value); key must be monic of degree 1."""
-        if key.field is not base:
-            raise ValueError("element/field mismatch")
-        if key.degree() != 1 or not key.is_monic():
-            raise ValueError("the first key must be monic of degree 1")
-        if value is INF:
-            denom, rel, numer = 1, 1, 0
-        else:
-            value = Fraction(value)
-            denom = value.denominator
-            rel = denom
-            numer = value.numerator
-        a, b = _bezout(numer, rel)
-        k1 = FiniteField.of(base.p, 1)
-        return cls(base, (Stage(key, value, denom, rel, numer, a, b, k1, None, None, None, None),))
+        return cls(base, (_build_stage(base, (), key, value),))
 
     @classmethod
     def gauss(cls, base: BaseField) -> "MacLaneChain":
@@ -299,10 +287,7 @@ class MacLaneChain:
                 f"augmentation value {format_value(alpha)} must exceed current value {format_value(vq)}"
             )
         prefix = self.stages[:-1] if q.degree() == self.minimal_key().degree() else self.stages
-        if not prefix:
-            return MacLaneChain.stage_one(self.base, q, alpha)
-        stage = _build_stage(self.base, prefix, q, alpha)
-        return MacLaneChain(self.base, prefix + (stage,))
+        return MacLaneChain(self.base, prefix + (_build_stage(self.base, prefix, q, alpha),))
 
     # -- graded reduction and lifting ----------------------------------------------------
 
@@ -429,48 +414,36 @@ class MacLaneChain:
 
 
 def _build_stage(base, prefix_stages, key, value) -> Stage:
-    prev = MacLaneChain(base, prefix_stages)
-    prev_st = prefix_stages[-1]
-    vprev = prev.valuate(key)
-    if not (value is INF or value > vprev):
-        raise InvariantError("stage value does not exceed the prefix value of its key")
+    """The stage (key, value) on prefix_stages, the one place a Stage is made.
+    The first stage has a monic degree-1 key, no residual and residue field
+    GF(p); a later one adjoins a root of its key's residual R to the prefix
+    residue field, whatever the degree of R."""
+    if prefix_stages:
+        prev = MacLaneChain(base, prefix_stages)
+        prev_st = prefix_stages[-1]
+        if not (value is INF or value > prev.valuate(key)):
+            raise InvariantError("stage value does not exceed the prefix value of its key")
+        residual = prev._key_residual(key)
+        if residual is None:
+            raise InvariantError("stage key has a divisible or reducible residual over the prefix")
+        if key.degree() != residual.degree() * prev_st.rel_denom * prev_st.key.degree():
+            raise InvariantError("stage key degree mismatch with residual data")
+        denom0 = prev_st.denom
+        res_field, embed, z_root, to_prev = ffield.adjoin_root(prev_st.res_field, residual)
+    else:
+        if key.field is not base:
+            raise ValueError("element/field mismatch")
+        if key.degree() != 1 or not key.is_monic():
+            raise ValueError("the first key must be monic of degree 1")
+        prev_st = residual = embed = z_root = to_prev = None
+        denom0 = 1
+        res_field = FiniteField.of(base.p, 1)
     if value is INF:
-        denom, rel, numer = prev_st.denom, 1, 0
+        denom, rel, numer = denom0, 1, 0
     else:
-        denom = lcm(prev_st.denom, value.denominator)
-        rel = denom // prev_st.denom
-        scaled = value * denom
-        numer = int(scaled)
+        value = Fraction(value)
+        denom = lcm(denom0, value.denominator)
+        rel = denom // denom0
+        numer = int(value * denom)
     a, b = _bezout(numer, rel)
-    residual = prev._key_residual(key)
-    if residual is None:
-        raise InvariantError("stage key has a divisible or reducible residual over the prefix")
-    fdeg = residual.degree()
-    if key.degree() != fdeg * prev_st.rel_denom * prev_st.key.degree():
-        raise InvariantError("stage key degree mismatch with residual data")
-    sub = prev_st.res_field
-    if fdeg == 1:
-        big = sub
-        embed = lambda a_: a_
-        z_root = -residual.coeff(0)
-        to_prev = lambda w: [w]
-    else:
-        big = FiniteField.of(sub.p, sub.k * fdeg)
-        embed = ffield.embed_into(sub, big)
-        rbig = FFPoly(big, tuple(embed(c) for c in residual.coeffs))
-        roots = ffield.ff_roots(rbig)
-        if not roots:
-            raise InvariantError("irreducible residual has no root in its splitting field")
-        z_root = roots[0][0]
-        basis = []
-        for jj in range(fdeg):
-            zj = z_root ** jj
-            for ii in range(sub.k):
-                basis.append(embed(sub.gen() ** ii) * zj)
-        solver = ffield.linear_solver(big, basis)
-
-        def to_prev(w):
-            coords = solver(w)
-            return [sub.elem(coords[jj * sub.k:(jj + 1) * sub.k]) for jj in range(fdeg)]
-
-    return Stage(key, value, denom, rel, numer, a, b, big, residual, embed, z_root, to_prev, prev_st)
+    return Stage(key, value, denom, rel, numer, a, b, res_field, residual, embed, z_root, to_prev, prev_st)

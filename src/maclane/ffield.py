@@ -6,11 +6,16 @@ tuple of non-leading coefficients), found once per (p, k) and cached with
 the field.  ``FiniteField.of`` builds one field per (p, k), so fields
 compare by identity.  Elements are ``FFElem``, a ``base.FieldElem`` whose
 payload is a little-endian ``fppoly`` coefficient tuple.  Polynomials over a
-field are ``FFPoly``, a subclass of ``poly.Polynomial`` printed in y.
-Irreducibility is read off the distinct-degree factorization that
-``ff_factor`` runs.  Equal-degree splitting draws from a fresh
-``random.Random(0)`` per factorization, and the factor list is sorted, so
-every factorization is reproducible.
+field are ``FFPoly``, a subclass of ``poly.Polynomial`` printed in y, which
+like it divides by monic divisors only.  Irreducibility is read off the
+distinct-degree factorization that ``ff_factor`` runs.  Equal-degree
+splitting draws from a fresh ``random.Random(0)`` per factorization, and the
+factor list is sorted, so every factorization is reproducible.
+
+``adjoin_root`` flattens sub[y]/(R), for R irreducible over sub, to one
+field.  Its root of R, like the image of the subfield generator in
+``embed_into``, is the root with the smallest ``key()``, found by degree-one
+splitting once the distinct-degree factorization shows that R splits.
 
 A field of order q <= ``TABLE_BOUND`` does its arithmetic by table lookup
 (Zech logarithms, as in GAP; Huber, IEEE Trans. IT 1990).  When the field is
@@ -43,7 +48,7 @@ import random
 from functools import lru_cache
 
 from . import fppoly
-from .base import FieldElem, _as_int, _is_prime
+from .base import FieldElem, InvariantError, _as_int, _is_prime
 from .poly import Polynomial
 
 # The largest field order that gets log/Zech tables; see the module docstring.
@@ -248,23 +253,12 @@ def pth_root(a: FFElem) -> FFElem:
     return a ** (a.field.p ** (k - 1))
 
 
-def absolute_trace(a: FFElem) -> int:
-    """Trace to the prime field, returned as an integer in [0, p)."""
-    t = a.field.zero()
-    b = a
-    for _ in range(a.field.k):
-        t = t + b
-        b = b ** a.field.p
-    if len(t.coeffs) > 1:
-        raise RuntimeError("trace landed outside the prime field")  # pragma: no cover
-    return t.coeffs[0] if t.coeffs else 0
-
-
 class FFPoly(Polynomial):
     """Polynomial over a FiniteField, printed in the variable y.
 
-    The arithmetic is Polynomial's; this class adds division by a non-monic
-    divisor, its own printing of coefficients, and a deterministic sort key.
+    The arithmetic is Polynomial's, so it too divides by monic divisors only;
+    this class adds its own printing of coefficients and a deterministic sort
+    key.
     """
 
     __slots__ = ()
@@ -273,14 +267,6 @@ class FFPoly(Polynomial):
     @classmethod
     def y(cls, field):
         return cls.x(field)
-
-    def __divmod__(self, other):
-        other = self._check(other)
-        if other.is_zero() or other.is_monic():
-            return super().__divmod__(other)
-        inv = other.leading().inverse()
-        quo, rem = super().__divmod__(other.scale(inv))
-        return quo.scale(inv), rem
 
     @staticmethod
     def _needs_parens(cs: str) -> bool:
@@ -441,18 +427,15 @@ def ff_factor(f: FFPoly):
     return unit, factors
 
 
-def ff_roots(f: FFPoly):
-    """Roots in the coefficient field with multiplicities, sorted."""
-    _, factors = ff_factor(f)
-    out = []
-    for g, m in factors:
-        if g.degree() == 1:
-            out.append((-g.coeff(0), m))
-    out.sort(key=lambda t: t[0].key())
-    return out
+# -- roots, embeddings and towers of residue fields ------------------------------
 
 
-# -- embeddings and linear representation over subfields ------------------------
+def _smallest_root(f: FFPoly) -> FFElem:
+    """The root of monic f with the smallest ``key()``.  The split check comes
+    first: ``_equal_degree`` never returns on a polynomial that does not split."""
+    if _distinct_degree(f) != [(f, 1)]:
+        raise InvariantError(f"no root: {f} is not a product of distinct linear factors")
+    return min((-g.coeff(0) for g in _equal_degree(f, 1, random.Random(0))), key=FFElem.key)
 
 
 def embed_into(sub: FiniteField, big: FiniteField):
@@ -472,11 +455,7 @@ def embed_into(sub: FiniteField, big: FiniteField):
 @lru_cache(maxsize=None)
 def _embedding(sub, big):
     """The embedding of ``embed_into``, found once per interned pair of fields."""
-    mod_poly = FFPoly.from_ints(big, sub.modulus)
-    roots = ff_roots(mod_poly)
-    if not roots:
-        raise RuntimeError("modulus has no root in extension")  # pragma: no cover
-    rho = roots[0][0]
+    rho = _smallest_root(FFPoly.from_ints(big, sub.modulus))
 
     def emb(a: FFElem) -> FFElem:
         r = big.zero()
@@ -487,20 +466,37 @@ def _embedding(sub, big):
     return emb
 
 
-def linear_solver(big: FiniteField, basis):
+def adjoin_root(sub: FiniteField, residual: FFPoly):
+    """sub[y]/(residual) for a monic irreducible residual of degree n, as
+    (big, embed, z, to_sub): big = GF(p^(k n)), the embedding of sub, the root
+    z of residual with the smallest ``key()``, and the map from w in big to
+    [c_0, ..., c_{n-1}] over sub with w = sum embed(c_j) z^j.  For n = 1, big
+    is sub (fields are interned), embed the identity and to_sub(w) = [w]."""
+    n = residual.degree()
+    big = FiniteField.of(sub.p, sub.k * n)
+    embed = embed_into(sub, big)
+    z = _smallest_root(FFPoly(big, tuple(embed(c) for c in residual.coeffs)))
+    basis = [embed(sub.gen() ** i) * z ** j for j in range(n) for i in range(sub.k)]
+    solve = _linear_solver(big, basis)
+
+    def to_sub(w: FFElem):
+        cs = solve(w)
+        return [sub.elem(cs[j * sub.k:(j + 1) * sub.k]) for j in range(n)]
+
+    return big, embed, z, to_sub
+
+
+def _linear_solver(big: FiniteField, basis):
     """Given an F_p-basis of GF(p^b) (as FFElems), return a solver mapping an
     element to its integer coordinate vector in that basis."""
     p, n = big.p, big.k
-    if len(basis) != n:
-        raise ValueError("basis size mismatch")
-    cols = [list(b.coeffs) + [0] * (n - len(b.coeffs)) for b in basis]
     # invert the n x n matrix whose columns are the basis vectors, mod p
-    mat = [[cols[j][i] % p for j in range(n)] for i in range(n)]
+    mat = [list(row) for row in zip(*(b.key() for b in basis))]
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] % p), None)
+        piv = next((r for r in range(col, n) if mat[r][col]), None)
         if piv is None:
-            raise ValueError("basis is singular")
+            raise InvariantError("basis is singular")
         mat[col], mat[piv] = mat[piv], mat[col]
         inv[col], inv[piv] = inv[piv], inv[col]
         scale = pow(mat[col][col], -1, p)
@@ -513,7 +509,7 @@ def linear_solver(big: FiniteField, basis):
                 inv[r] = [(a - c * b) % p for a, b in zip(inv[r], inv[col])]
 
     def solve(a: FFElem):
-        vec = list(a.coeffs) + [0] * (n - len(a.coeffs))
+        vec = a.key()
         return [sum(inv[i][j] * vec[j] for j in range(n)) % p for i in range(n)]
 
     return solve

@@ -15,7 +15,8 @@ An exponent may not exceed ``MAX_EXPONENT`` in absolute value, nor raise the
 degree in x above it; over F_p(t) it may not raise the t-degree of a
 numerator or denominator above it either, and over Q it may not raise the
 bit length of a numerator or denominator above ``MAX_BITS``.  A product may
-not have degree in x above ``MAX_EXPONENT``.
+not have degree in x above ``MAX_EXPONENT``, and the parsed polynomial as a
+whole is held to the same t-degree and bit-length bounds, checked once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .base import BaseElem, BaseField, FieldElem
 
 # Bounds on |e| in ``a^e``, on the degree in x of a power or a product, and
 # on the t-degree (bit length over Q) of a power, checked before the result
-# is computed, so that a huge input is a parse error.
+# is computed, and of the parsed result, so that a huge input is a parse error.
 MAX_EXPONENT = 1000
 MAX_BITS = 10_000
 
@@ -383,10 +384,7 @@ class _Parser:
             if abs(e) > MAX_EXPONENT or node.degree() * e > MAX_EXPONENT:
                 self.error(f"exponent {e} is over the bound {MAX_EXPONENT}"
                            " on exponents and degrees")
-            if self.field.kind == "Fpt" and _t_degree(node) * abs(e) > MAX_EXPONENT:
-                self.error(f"exponent {e} takes the degree in t over the bound {MAX_EXPONENT}")
-            if self.field.kind == "Q" and _bit_length(node) * abs(e) > MAX_BITS:
-                self.error(f"exponent {e} takes the bit length over the bound {MAX_BITS}")
+            self.check_size(node, abs(e), f"exponent {e}")
             if e < 0:
                 if node.degree() > 0:
                     self.error("negative power of x")
@@ -395,6 +393,14 @@ class _Parser:
                 return Polynomial.constant(node.constant_coeff() ** e)
             return node ** e
         return node
+
+    def check_size(self, node, e, what):
+        """Reject node^e if its t-degree over F_p(t) would pass MAX_EXPONENT, or
+        its bit length over Q would pass MAX_BITS; what names the culprit."""
+        if self.field.kind == "Fpt" and _t_degree(node) * e > MAX_EXPONENT:
+            self.error(f"{what} takes the degree in t over the bound {MAX_EXPONENT}")
+        if self.field.kind == "Q" and _bit_length(node) * e > MAX_BITS:
+            self.error(f"{what} takes the bit length over the bound {MAX_BITS}")
 
     def atom(self) -> Polynomial:
         ch = self.peek()
@@ -448,6 +454,7 @@ def parse_polynomial(field: BaseField, text: str) -> Polynomial:
     node = p.expr()
     if p.peek():
         p.error("trailing input")
+    p.check_size(node, 1, "the polynomial")
     return node
 
 

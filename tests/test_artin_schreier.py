@@ -13,12 +13,15 @@ from maclane import (
     BaseField,
     FFPoly,
     FiniteField,
+    MacLaneChain,
     Polynomial,
     artin_schreier_polynomial,
     classify,
     enumerate_extensions,
     ff_factor,
     improve_witness,
+    in_VF,
+    max_augmentation_value,
     max_of_S,
     parse_element,
     parse_polynomial,
@@ -247,3 +250,27 @@ class TestOracle:
         r = classify(base, elem(base, text))
         survey = enumerate_extensions(base, parse_polynomial(base, f"x^{p}-x-({text})"))
         assert sorted((b.e, b.f) for b in survey.reports) == [(r.e, r.f)] * r.g
+
+    def test_slope_theorem_gives_max_of_S(self):
+        """The (x - b)-expansion of F = x^p - x - a is F(b) - (x - b) + (x - b)^p.
+        For a non-split report with witness b, v(F(b)) = w <= 0, so the polygon
+        of F in x - b is the single side from (0, w) to (p, 0), with the point
+        (1, 0) on or above it, and the slope theorem gives w/p, which is
+        max_of_S, as the largest value on x - b."""
+        checked = 0
+        for i in range(200):
+            p, text, case, _ = bench_inputs.as_case(1, i)
+            if case == "split-p":
+                continue
+            base = BaseField.rational_functions(p)
+            a = elem(base, text)
+            r = classify(base, a)
+            top = max_of_S(r)[0]
+            F = artin_schreier_polynomial(base, a)
+            q = Polynomial.x(base) - r.witness
+            mu = MacLaneChain.stage_one(base, q, top - 1)
+            assert in_VF(mu, F), text
+            assert max_augmentation_value(mu, q, F) == top, text
+            assert not in_VF(mu.augment(q, top + 1), F), text
+            checked += 1
+        assert checked == 132

@@ -191,6 +191,7 @@ class TestErrors:
         ["valuate", "--poly", "x^1000*x^1000"],
         ["valuate", "--base", "Fpt", "--p", "2", "--poly", "(t^999)^999"],
         ["valuate", "--poly", "(2^999)^999"],
+        ["valuate", "--base", "Fpt", "--p", "2", "--poly", "t^1000*t^1000*t^1000"],
     ])
     def test_size_bound_exits_2(self, argv, capsys):
         assert main(argv) == 2

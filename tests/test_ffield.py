@@ -2,23 +2,19 @@
 
 import functools
 import itertools
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from maclane import BaseField, FFPoly, FiniteField, enumerate_extensions, ff_factor, ff_roots
+from maclane import BaseField, FFPoly, FiniteField, InvariantError, enumerate_extensions, ff_factor
 from maclane import ffield, fppoly, parse_polynomial
-from maclane.ffield import (
-    FFElem,
-    ZechElem,
-    absolute_trace,
-    embed_into,
-    is_irreducible,
-    linear_solver,
-    pth_root,
-)
+from maclane.ffield import FFElem, ZechElem, adjoin_root, embed_into, is_irreducible, pth_root
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestFieldConstruction:
@@ -73,12 +69,6 @@ class TestElemArithmetic:
             assert pth_root(a) ** 3 == a
             assert pth_root(a ** 3) == a
 
-    def test_absolute_trace(self):
-        f = FiniteField.of(2, 3)
-        traces = sorted(absolute_trace(a) for a in f.elements())
-        # trace is a surjective F_2-linear map: half the elements hit each value
-        assert traces.count(0) == 4 and traces.count(1) == 4
-
     def test_generator_generates(self):
         f = FiniteField.of(2, 4)
         g = f.gen()
@@ -129,10 +119,6 @@ class TestTables:
             A = a.payload
             assert (-a).payload == fppoly.neg(A, p)
             assert pth_root(a).payload == frobenius[A]
-            trace, cur = (), A
-            for _ in range(k):
-                trace, cur = fppoly.add(trace, cur, p), _ref_pow(F, cur, p)
-            assert absolute_trace(a) == (trace[0] if trace else 0)
             for e in (0, 1, 2, p, F.order - 1, F.order + 3):
                 assert (a ** e).payload == _ref_pow(F, A, e)
             if a:
@@ -192,13 +178,13 @@ class TestTables:
 
 
 class TestFFPoly:
-    def test_divmod_any_nonzero(self):
+    def test_divmod_needs_a_monic_divisor(self):
         f = FiniteField.of(5)
         a = FFPoly.from_ints(f, [1, 2, 3, 4])
-        b = FFPoly.from_ints(f, [2, 3])  # non-monic divisor is fine here
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.degree() < b.degree()
+        with pytest.raises(ValueError, match="monic"):
+            divmod(a, FFPoly.from_ints(f, [2, 3]))
+        q, r = divmod(a, FFPoly.from_ints(f, [2, 1]))
+        assert q * FFPoly.from_ints(f, [2, 1]) + r == a and r.degree() < 1
 
     def test_gcd_monic(self):
         f = FiniteField.of(5)
@@ -314,13 +300,6 @@ class TestFactorization:
             f = FFPoly(field, tuple(coeffs))
             self.assert_refactors(f)
 
-    def test_roots(self):
-        f5 = FiniteField.of(5)
-        y = FFPoly.y(f5)
-        g = (y - FFPoly.from_ints(f5, [2])) ** 2 * (y ** 2 + FFPoly.from_ints(f5, [2]))
-        roots = ff_roots(g)
-        assert (f5.from_int(2), 2) in roots
-
 
 class TestTowers:
     def test_embedding_is_homomorphism(self):
@@ -343,8 +322,8 @@ class TestTowers:
     def test_embedding_found_once_per_pair(self, monkeypatch):
         monkeypatch.setattr(ffield, "_embedding", functools.lru_cache(ffield._embedding.__wrapped__))
         calls = []
-        roots = ffield.ff_roots
-        monkeypatch.setattr(ffield, "ff_roots", lambda f: calls.append(f) or roots(f))
+        root = ffield._smallest_root
+        monkeypatch.setattr(ffield, "_smallest_root", lambda f: calls.append(f) or root(f))
         sub, big = FiniteField.of(3, 1), FiniteField.of(3, 2)
         assert embed_into(sub, big) is embed_into(sub, big)
         assert len(calls) == 1
@@ -353,26 +332,45 @@ class TestTowers:
         with pytest.raises(ValueError):
             embed_into(FiniteField.of(2, 2), FiniteField.of(2, 3))
 
-    def test_linear_solver_round_trip(self):
-        big = FiniteField.of(2, 4)
-        sub = FiniteField.of(2, 2)
-        emb = embed_into(sub, big)
-        # pick z with big = sub[z]: a root of an irreducible quadratic over sub
-        w = sub.gen()
-        y = FFPoly.y(big)
-        q = y ** 2 + y + FFPoly(big, (emb(w),))
-        z = ff_roots(q)[0][0]
-        basis = []
-        for j in range(2):
-            for i in range(sub.k):
-                basis.append(emb(w ** i) * z ** j)
-        solve = linear_solver(big, basis)
-        rng = random.Random(9)
-        els = list(big.elements())
-        for _ in range(20):
-            a = rng.choice(els)
-            coords = solve(a)
-            acc = big.zero()
-            for c, b in zip(coords, basis):
-                acc = acc + b * big.from_int(c)
-            assert acc == a
+
+class TestAdjoinRoot:
+    """``adjoin_root`` against a scan of the big field's elements."""
+
+    @pytest.mark.parametrize("p, k, top", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 2)])
+    def test_against_a_scan(self, p, k, top):
+        sub = FiniteField.of(p, k)
+        for n in range(1, top + 1):
+            for R in filter(_by_trial_division, _monic(sub, n)):
+                big, embed, z, to_sub = adjoin_root(sub, R)
+                assert big is FiniteField.of(p, k * n)
+                Rbig = FFPoly(big, tuple(embed(c) for c in R.coeffs))
+                assert z == min((a for a in big.elements() if Rbig(a).is_zero()), key=FFElem.key), R
+                for w in big.elements():
+                    cs = to_sub(w)
+                    assert len(cs) == n and all(c.field is sub for c in cs)
+                    acc = big.zero()
+                    for j, c in enumerate(cs):
+                        acc = acc + embed(c) * z ** j
+                    assert acc == w, (R, w)
+
+    def test_a_polynomial_that_does_not_split_is_refused(self):
+        # y^3+y+2 = (y+1)(y^2+4y+2) over GF(5), and GF(125) holds no root of
+        # the quadratic: splitting alone would never return
+        code = (
+            "from maclane import FFPoly, FiniteField, InvariantError, ffield\n"
+            "F = FiniteField.of(5, 3)\n"
+            "try:\n"
+            "    ffield._smallest_root(FFPoly.from_ints(F, [2, 1, 0, 1]))\n"
+            "except InvariantError as e:\n"
+            "    print('refused', e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(_SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("refused no root")
+
+    def test_a_repeated_root_is_refused(self):
+        F = FiniteField.of(3)
+        with pytest.raises(InvariantError, match="no root"):
+            ffield._smallest_root(FFPoly.from_ints(F, [1, 1]) ** 2)

@@ -439,6 +439,26 @@ class TestReduceLift:
         fbar, i0, j0, v = c.reduce(F)
         assert fbar == h and i0 == 0 and v == c.valuate(F)
 
+    @pytest.mark.parametrize("text, lift", [
+        ("x:1/2; x^2+2:3/2", None),
+        # y+w over GF(4) lifted to a degree-4 key above a ramified quadratic stage
+        ("x:0; x^2+x+1:1/2", "y+w"),
+    ])
+    def test_degree_one_residual_keeps_the_field(self, text, lift):
+        c = chain(B2, text)
+        if lift is not None:
+            k4 = c.residue_constant_field()
+            F = c.lift_residual(FFPoly.y(k4) + FFPoly(k4, (k4.gen(),)))
+            c = c.augment(F, c.valuate(F) + Fraction(1, 3))
+        prev, st = c.stages[-2:]
+        assert st.residual.degree() == 1
+        assert st.res_field is prev.res_field
+        assert st.z_root == -st.residual.coeff(0)
+        assert all(st.embed(w) == w and st.to_prev(w) == [w] for w in st.res_field.elements())
+        k = c.residue_constant_field()
+        h = FFPoly(k, tuple(k.elements())[1:4])
+        assert c.reduce(c.lift_residual(h))[0] == h
+
     def test_round_trip_tower_random(self):
         c = chain(B2, "x:0; x^2+x+1:1")
         k4 = c.residue_constant_field()

@@ -218,6 +218,10 @@ class TestParser:
         (B2, "(x+2^300)^300"),
         (B5, "(1/3^999)^999"),
         (B2, "((2^999)^999)^999"),
+        # products pass every power bound; the parsed result does not
+        (B2, "*".join(["2^1000"] * 12)),
+        (F2T, "t^1000*t^1000*t^1000"),
+        (F2T, "x^2+t^1000*t^1000*x"),
     ])
     def test_size_bound(self, field, text):
         with pytest.raises(ValueError, match="bound"):
@@ -230,6 +234,9 @@ class TestParser:
         assert parse_polynomial(F2T, "(1/(t^10+1))^-100") == Polynomial.constant(u ** 100)
         # 2^99 has 100 bits, and 100 * 99 = 9900 is within MAX_BITS
         assert parse_polynomial(B2, "(x+2^99)^99") == (Polynomial.x(B2) + 2 ** 99) ** 99
+        # a 4001-bit constant is within MAX_BITS
+        f = parse_polynomial(B2, "(x^2-17)^2+2^1000*2^1000*2^1000*2^1000")
+        assert f == (Polynomial.x(B2) ** 2 - 17) ** 2 + 2 ** 4000
 
     def test_str_parse_round_trip(self):
         rng = random.Random(11)
