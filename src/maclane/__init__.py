@@ -8,7 +8,7 @@ classification, all in exact arithmetic.
 from .base import INF, BaseElem, BaseField, InvariantError, format_value, parse_value
 from .poly import Polynomial, QExpansion, parse_element, parse_polynomial, q_expansion
 from .ffield import FFElem, FFPoly, FiniteField, ff_factor
-from .chains import MacLaneChain, Stage, TruncationData
+from .chains import MacLaneChain, TruncationData
 from .newton import NewtonPolygon, Side, newton_polygon, polygon_svg
 from .approach import (
     AugmentationTree,
@@ -53,7 +53,6 @@ __all__ = [
     "FiniteField",
     "ff_factor",
     "MacLaneChain",
-    "Stage",
     "TruncationData",
     "NewtonPolygon",
     "Side",

@@ -154,12 +154,11 @@ def graded_factorization(chain: MacLaneChain, f: Polynomial) -> GradedFactorSumm
         raise ValueError("the graded ring of a support chain has no key factors")
     fbar, i0, j0, v = chain.reduce(f)
     unit, factors = ffield.ff_factor(fbar)
-    st = chain.stages[-1]
     entries = []
     phi_mult = i0
     for h, m in factors:
         if h.degree() == 1 and h.coeff(0).is_zero():
-            phi_mult += st.rel_denom * m
+            phi_mult += chain.rel_denom * m
             continue
         key = chain.lift_residual(h)
         entries.append(FactorEntry(str(h), key, m, _key_branch_values(chain, key, f), False))

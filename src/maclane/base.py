@@ -137,6 +137,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p: int) -> None:
+    """Reject p unless it is a prime below 2^32, where trial division takes
+    about 10 ms."""
+    if p >= 2 ** 32:
+        raise ValueError(f"p must be a prime below 2^32, got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 @dataclass(frozen=True, eq=False)
 class BaseField:
     """One of the two supported coefficient fields with its normalized valuation.
@@ -155,8 +164,7 @@ class BaseField:
     def of(cls, kind: str, p: int) -> "BaseField":
         if kind not in _KINDS:
             raise ValueError(f"unknown base field kind {kind!r}")
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        _check_prime(p)
         return _base_field_of(kind, p)
 
     @classmethod

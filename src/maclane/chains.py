@@ -3,28 +3,29 @@
 A chain is a finite list of stages (phi_1, lambda_1), ..., (phi_t, lambda_t)
 with monic keys phi_i of nondecreasing degree and values lambda_i in
 Q ∪ {inf}; only the last value may be inf, in which case the chain is the
-valuation with support (phi_t) pulled back from K[x]/(phi_t).  Evaluation is
-recursive: expand f in phi_t, value each digit by the previous stages, and
-take min(value(f_i) + i*lambda_t).
+valuation with support (phi_t) pulled back from K[x]/(phi_t).  A chain is
+its last stage: ``MacLaneChain(base, below, key, value)`` is the augmented
+valuation [below; (key, value)], and every prefix of a chain is the chain
+object it was built on.  Evaluation is recursive: expand f in phi_t, value
+each digit by the chain below, and take min(value(f_i) + i*lambda_t).
 
 Every value, argmin set, Newton polygon and residual polynomial is read off
 one memoized object per (f, q), the ``TruncationData`` of ``_expansion``,
-kept on the stage whose prefix values its digits: sound because a stage only
-ever sits on the prefix it was built on, which the chain constructor checks.
-So are ``Stage.keys``, the one key test per (stage, q) that both
-``is_key_polynomial`` and the construction of the next stage read, and
-``Stage.reductions``, the one graded reduction per (stage, f) that
-``reduce``, the key test and the reduction of a digit one stage up read.
+kept on the chain whose values it records.  So are ``keys``, the one key
+test per (chain, q) that both ``is_key_polynomial`` and the construction of
+the next stage read, and ``reductions``, the one graded reduction per
+(chain, f) that ``reduce``, the key test and the reduction of a digit one
+stage up read.
 
-Each stage carries the combinatorial data of its graded ring: the value
+Each chain carries the combinatorial data of its graded ring: the value
 group denominator D_s, the relative ramification d_s = D_s/D_{s-1}, the
 scaled value n_s = lambda_s * D_s with a Bezout pair a*n + b*d = 1, and the
 residue field k_s = k_{s-1}[z]/(R_s) flattened to GF(p^f), where R_s is the
-residual polynomial of phi_s over the previous stages; ``_build_stage``, the
-one constructor of a stage, gets k_s from ``ffield.adjoin_root``.  ``reduce``
-computes residual polynomials (the degree-zero content of an initial form in
-the graded ring), ``lift_residual`` inverts it, producing a monic key with a
-prescribed residual.
+residual polynomial of phi_s over the chain below, from
+``ffield.adjoin_root``.  ``reduce`` computes residual polynomials (the
+degree-zero content of an initial form in the graded ring),
+``lift_residual`` inverts it, producing a monic key with a prescribed
+residual.
 """
 
 from __future__ import annotations
@@ -37,36 +38,6 @@ from .base import INF, BaseField, InvariantError, format_value, parse_value, vmu
 from .poly import Polynomial, q_expansion, parse_polynomial
 from . import ffield
 from .ffield import FFPoly, FiniteField
-
-
-class Stage:
-    __slots__ = (
-        "key", "value", "denom", "rel_denom", "numer",
-        "bez_a", "bez_b", "res_field", "residual", "embed", "z_root", "to_prev",
-        "expansions", "keys", "reductions", "below",
-    )
-
-    def __init__(self, key, value, denom, rel_denom, numer, bez_a, bez_b,
-                 res_field, residual, embed, z_root, to_prev, below=None):
-        self.key = key
-        self.value = value
-        self.denom = denom
-        self.rel_denom = rel_denom
-        self.numer = numer
-        self.bez_a = bez_a
-        self.bez_b = bez_b
-        self.res_field = res_field
-        self.residual = residual       # FFPoly over the previous residue field, None at stage 1
-        self.embed = embed             # k_{s-1} -> k_s
-        self.z_root = z_root           # image of the key in k_s (root of residual)
-        self.to_prev = to_prev         # k_s -> list of k_{s-1} coefficients in powers of z_root
-        self.below = below             # the stage this one was built on, None at stage 1
-        # (f, q) -> TruncationData, q -> key residual or None, f -> reduction, under
-        # the stages up to this one; sound because a Stage only ever sits on the
-        # prefix it was built on
-        self.expansions = {}
-        self.keys = {}
-        self.reductions = {}
 
 
 def _bezout(n: int, d: int):
@@ -89,25 +60,61 @@ class TruncationData:
 
 
 class MacLaneChain:
-    __slots__ = ("base", "stages")
+    """The valuation [below; (key, value)], or the first stage (key, value)
+    when below is None, with the data of its graded ring."""
 
-    def __init__(self, base: BaseField, stages):
-        self.base = base
-        self.stages = tuple(stages)
-        if not self.stages:
-            raise ValueError("a chain needs at least one stage")
-        for below, st in zip((None,) + self.stages, self.stages):
-            if below is not None and below.value is INF:
-                raise ValueError("inf value before the last stage")
-            if st.below is not below:
-                raise ValueError("a stage sits on a prefix it was not built on")
+    __slots__ = (
+        "base", "below", "key", "value", "denom", "rel_denom", "numer", "bez_a", "bez_b",
+        "res_field", "residual", "embed", "z_root", "to_prev", "expansions", "keys", "reductions",
+    )
+
+    def __init__(self, base: BaseField, below, key: Polynomial, value):
+        if key.field is not base or (below is not None and below.base is not base):
+            raise ValueError("element/field mismatch")
+        if below is None:
+            if key.degree() != 1 or not key.is_monic():
+                raise ValueError("the first key must be monic of degree 1")
+            residual = embed = z_root = to_prev = None
+            denom0 = 1
+            res_field = FiniteField.of(base.p, 1)
+        else:
+            if below.value is INF:
+                raise ValueError("cannot augment a support chain")
+            if not (value is INF or value > below.valuate(key)):
+                raise InvariantError("stage value does not exceed the prefix value of its key")
+            residual = below._key_residual(key)
+            if residual is None:
+                raise InvariantError("stage key has a divisible or reducible residual over the prefix")
+            if key.degree() != residual.degree() * below.rel_denom * below.key.degree():
+                raise InvariantError("stage key degree mismatch with residual data")
+            denom0 = below.denom
+            res_field, embed, z_root, to_prev = ffield.adjoin_root(below.res_field, residual)
+        if value is INF:
+            denom, rel, numer = denom0, 1, 0
+        else:
+            value = Fraction(value)
+            denom = lcm(denom0, value.denominator)
+            rel = denom // denom0
+            numer = int(value * denom)
+        self.base, self.below, self.key, self.value = base, below, key, value
+        self.denom, self.rel_denom, self.numer = denom, rel, numer
+        self.bez_a, self.bez_b = _bezout(numer, rel)
+        self.res_field = res_field
+        self.residual = residual       # FFPoly over below's residue field, None at stage 1
+        self.embed = embed             # k_{s-1} -> k_s
+        self.z_root = z_root           # image of the key in k_s (root of residual)
+        self.to_prev = to_prev         # k_s -> list of k_{s-1} coefficients in powers of z_root
+        # (f, q) -> TruncationData, q -> key residual or None, f -> reduction
+        self.expansions = {}
+        self.keys = {}
+        self.reductions = {}
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
     def stage_one(cls, base: BaseField, key: Polynomial, value) -> "MacLaneChain":
-        """Build a one-stage chain (key, value); key must be monic of degree 1."""
-        return cls(base, (_build_stage(base, (), key, value),))
+        """The one-stage chain (key, value); key must be monic of degree 1."""
+        return cls(base, None, key, value)
 
     @classmethod
     def gauss(cls, base: BaseField) -> "MacLaneChain":
@@ -138,32 +145,35 @@ class MacLaneChain:
 
     # -- basic structure --------------------------------------------------------
 
+    @property
+    def stages(self) -> tuple:
+        """The prefixes of the chain, first to last; the last is the chain."""
+        return (() if self.below is None else self.below.stages) + (self,)
+
     def minimal_key(self) -> Polynomial:
         """The minimal-degree key polynomial of the chain: its last key."""
-        return self.stages[-1].key
+        return self.key
 
     def last_value(self):
-        return self.stages[-1].value
+        return self.value
 
     def is_support(self) -> bool:
-        return self.stages[-1].value is INF
+        return self.value is INF
 
     def support_generator(self):
-        return self.stages[-1].key if self.is_support() else None
+        return self.key if self.is_support() else None
 
     def ramification_index(self) -> int:
         """Index of the base value group Z inside the chain's value group."""
-        return self.stages[-1].denom
+        return self.denom
 
     def inertia_degree(self) -> int:
-        f = 1
-        for st in self.stages:
-            if st.residual is not None:
-                f *= st.residual.degree()
-        return f
+        if self.below is None:
+            return 1
+        return self.below.inertia_degree() * self.residual.degree()
 
     def residue_constant_field(self) -> FiniteField:
-        return self.stages[-1].res_field
+        return self.res_field
 
     def __eq__(self, other):
         if not isinstance(other, MacLaneChain):
@@ -186,32 +196,36 @@ class MacLaneChain:
     def valuate(self, f: Polynomial):
         if not isinstance(f, Polynomial) or f.field is not self.base:
             raise ValueError("element/field mismatch")
-        return self._value(f, len(self.stages))
+        return self._value(f)
 
-    def _value(self, f, s):
-        """Value of f under the first s stages."""
+    def _value(self, f):
         if f.is_zero():
             return INF
-        if s == 0:
-            if f.degree() > 0:
-                raise InvariantError("nonconstant digit at stage 0")
-            return self.base.valuation(f.constant_coeff())
-        return self._expansion(f, self.stages[s - 1].key, s).value
+        return self._expansion(f, self.key).value
 
-    def _expansion(self, f, q, s) -> TruncationData:
-        """The q-expansion of f valued by the first s stages, memoized on stage s.
-        A digit of lower degree than key s has the same value under s - 1 stages."""
-        st = self.stages[s - 1]
-        data = st.expansions.get((f, q))
+    def _below_value(self, f):
+        """Value of f, of lower degree than the key, under the chain below."""
+        if self.below is not None:
+            return self.below._value(f)
+        if f.is_zero():
+            return INF
+        if f.degree() > 0:
+            raise InvariantError("nonconstant digit at stage 0")
+        return self.base.valuation(f.constant_coeff())
+
+    def _expansion(self, f, q) -> TruncationData:
+        """The q-expansion of f valued by the chain, memoized on it.  A digit of
+        lower degree than the key has the same value under the chain below."""
+        data = self.expansions.get((f, q))
         if data is None:
             digits = q_expansion(f, q).digits
-            vq = st.value if q == st.key else self._value(q, s)
-            m = st.key.degree()
-            dvs = tuple(self._value(d, s - 1 if d.degree() < m else s) for d in digits)
+            vq = self.value if q == self.key else self._value(q)
+            m = self.key.degree()
+            dvs = tuple(self._below_value(d) if d.degree() < m else self._value(d) for d in digits)
             tvs = tuple(dv if i == 0 else dv + vmul(i, vq) for i, dv in enumerate(dvs))
             best = min(tvs)
             s_set = frozenset(i for i, tv in enumerate(tvs) if tv == best)
-            data = st.expansions[(f, q)] = TruncationData(best, s_set, tvs, digits, dvs)
+            data = self.expansions[(f, q)] = TruncationData(best, s_set, tvs, digits, dvs)
         return data
 
     def truncate(self, q: Polynomial, f: Polynomial) -> TruncationData:
@@ -220,7 +234,7 @@ class MacLaneChain:
             raise ValueError("truncation of the zero polynomial")
         if q.field is not self.base:
             raise ValueError("element/field mismatch")
-        return self._expansion(f, q, len(self.stages))
+        return self._expansion(f, q)
 
     # -- graded ring tests ----------------------------------------------------------
 
@@ -264,7 +278,7 @@ class MacLaneChain:
     def _key_residual(self, q):
         """The monic residual of q if it is irreducible with nonzero constant term
         and i0 = 0, else None."""
-        keys = self.stages[-1].keys
+        keys = self.keys
         if q not in keys:
             fbar, i0, _, _ = self.reduce(q)
             is_key = i0 == 0 and not fbar.coeff(0).is_zero() and ffield.is_irreducible(fbar)
@@ -286,8 +300,8 @@ class MacLaneChain:
             raise ValueError(
                 f"augmentation value {format_value(alpha)} must exceed current value {format_value(vq)}"
             )
-        prefix = self.stages[:-1] if q.degree() == self.minimal_key().degree() else self.stages
-        return MacLaneChain(self.base, prefix + (_build_stage(self.base, prefix, q, alpha),))
+        below = self.below if q.degree() == self.key.degree() else self
+        return MacLaneChain(self.base, below, q, alpha)
 
     # -- graded reduction and lifting ----------------------------------------------------
 
@@ -298,85 +312,81 @@ class MacLaneChain:
         of the monomial normalizer in(key)^i0 * in(u)^j0."""
         if f.is_zero():
             raise ValueError("reduction of the zero polynomial")
-        return self._reduce(f, len(self.stages))
+        return self._reduce(f)
 
-    def _reduce(self, f, s):
-        """The reduction of f under the first s stages, memoized on stage s."""
-        memo = self.stages[s - 1].reductions
+    def _reduce(self, f):
+        """The reduction of f, memoized on the chain."""
+        memo = self.reductions
         if f not in memo:
-            memo[f] = self._reduction(f, s)
+            memo[f] = self._reduction(f)
         return memo[f]
 
-    def _reduction(self, f, s):
-        st = self.stages[s - 1]
-        if st.value is INF:
+    def _reduction(self, f):
+        if self.value is INF:
             raise ValueError("reduction at a support stage")
-        n, d = st.numer, st.rel_denom
-        ex = self._expansion(f, st.key, s)
-        scaled = ex.value * st.denom
+        n, d = self.numer, self.rel_denom
+        ex = self._expansion(f, self.key)
+        scaled = ex.value * self.denom
         if scaled.denominator != 1:
             raise InvariantError("digit value outside the stage value group")
         vmin = int(scaled)
-        i0 = (st.bez_a * vmin) % d if d > 1 else 0
+        i0 = (self.bez_a * vmin) % d if d > 1 else 0
         j0 = (vmin - i0 * n) // d
         coeffs = {}
         for i in sorted(ex.s_set):
             if (i - i0) % d:
                 raise InvariantError("argmin index off the residual lattice")
             digit = ex.digits[i]
-            if s == 1:
+            if self.below is None:
                 c = digit.constant_coeff() * self.base.uniformizer() ** -int(ex.digit_values[i])
-                cbar = st.res_field.from_int(self.base.residue(c))
+                cbar = self.res_field.from_int(self.base.residue(c))
             else:
-                cbar = self._graded_map(s, *self._reduce(digit, s - 1)[:3])
+                cbar = self._graded_map(*self.below._reduce(digit)[:3])
             if cbar.is_zero():
                 raise InvariantError("graded reduction produced zero")
             coeffs[(i - i0) // d] = cbar
-        return FFPoly.from_dict(st.res_field, coeffs), i0, j0, ex.value
+        return FFPoly.from_dict(self.res_field, coeffs), i0, j0, ex.value
 
-    def _graded_map(self, s, fprev, i1, j1):
-        """Push a stage-(s-1) residual element in(key')^i1 in(u')^j1 fprev(y') into
-        a stage-s constant."""
-        prev = self.stages[s - 2]
-        st = self.stages[s - 1]
-        z = st.z_root
-        c = st.res_field.zero()
+    def _graded_map(self, fprev, i1, j1):
+        """Push a residual element in(key')^i1 in(u')^j1 fprev(y') of the chain
+        below into a constant of this one."""
+        prev = self.below
+        z = self.z_root
+        c = self.res_field.zero()
         for coef in reversed(fprev.coeffs):
-            c = c * z + st.embed(coef)
+            c = c * z + self.embed(coef)
         return c * z ** (i1 * prev.bez_b - j1 * prev.bez_a)
 
-    def lift_residual(self, h: FFPoly, i: int = None, j: int = None, s: int = None) -> Polynomial:
+    def lift_residual(self, h: FFPoly, i: int = None, j: int = None) -> Polynomial:
         """A polynomial whose initial form is in(key)^i * in(u)^j * h(y); with the
         default exponents the result is the monic key lift of h (h irreducible with
-        nonzero constant term gives a new key polynomial)."""
-        s = len(self.stages) if s is None else s
-        st = self.stages[s - 1]
-        if st.value is INF:
+        nonzero constant term gives a new key polynomial).  Digits are lifted by
+        the chain below."""
+        if self.value is INF:
             raise ValueError("lift at a support stage")
         if h.is_zero():
             raise ValueError("lift of zero")
-        if h.field is not st.res_field:
+        if h.field is not self.res_field:
             raise ValueError("residual lives in the wrong residue field")
         if i is None:
-            i, j = 0, st.numer * h.degree()
+            i, j = 0, self.numer * h.degree()
         F = Polynomial.zero(self.base)
         for k2, c in enumerate(h.coeffs):
             if c.is_zero():
                 continue
-            ii = i + k2 * st.rel_denom
-            jj = j - k2 * st.numer
-            if s == 1:
+            ii = i + k2 * self.rel_denom
+            jj = j - k2 * self.numer
+            if self.below is None:
                 cint = c.coeffs[0]
                 C = Polynomial.constant(self.base.lift_residue(cint) * self.base.uniformizer() ** jj)
             else:
-                f0, i0, j0 = self._graded_map_lift(s, c, jj)
-                C = self.lift_residual(f0, i0, j0, s - 1)
-            F = F + C * st.key ** ii
+                f0, i0, j0 = self._graded_map_lift(c, jj)
+                C = self.below.lift_residual(f0, i0, j0)
+            F = F + C * self.key ** ii
         return F
 
-    def _graded_map_lift(self, s, c, m):
-        prev = self.stages[s - 2]
-        st = self.stages[s - 1]
+    def _graded_map_lift(self, c, m):
+        prev = self.below
         i = prev.bez_a * m
         if 0 <= i < prev.rel_denom:
             j = prev.bez_b * m
@@ -384,8 +394,8 @@ class MacLaneChain:
         else:
             v, i = divmod(i, prev.rel_denom)
             j = prev.numer * v + prev.bez_b * m
-            w = c * st.z_root ** v
-        coeffs = st.to_prev(w)
+            w = c * self.z_root ** v
+        coeffs = self.to_prev(w)
         return FFPoly(prev.res_field, coeffs), i, j
 
     # -- comparison -----------------------------------------------------------------------
@@ -412,38 +422,3 @@ class MacLaneChain:
             return "ge"
         return "incomparable"
 
-
-def _build_stage(base, prefix_stages, key, value) -> Stage:
-    """The stage (key, value) on prefix_stages, the one place a Stage is made.
-    The first stage has a monic degree-1 key, no residual and residue field
-    GF(p); a later one adjoins a root of its key's residual R to the prefix
-    residue field, whatever the degree of R."""
-    if prefix_stages:
-        prev = MacLaneChain(base, prefix_stages)
-        prev_st = prefix_stages[-1]
-        if not (value is INF or value > prev.valuate(key)):
-            raise InvariantError("stage value does not exceed the prefix value of its key")
-        residual = prev._key_residual(key)
-        if residual is None:
-            raise InvariantError("stage key has a divisible or reducible residual over the prefix")
-        if key.degree() != residual.degree() * prev_st.rel_denom * prev_st.key.degree():
-            raise InvariantError("stage key degree mismatch with residual data")
-        denom0 = prev_st.denom
-        res_field, embed, z_root, to_prev = ffield.adjoin_root(prev_st.res_field, residual)
-    else:
-        if key.field is not base:
-            raise ValueError("element/field mismatch")
-        if key.degree() != 1 or not key.is_monic():
-            raise ValueError("the first key must be monic of degree 1")
-        prev_st = residual = embed = z_root = to_prev = None
-        denom0 = 1
-        res_field = FiniteField.of(base.p, 1)
-    if value is INF:
-        denom, rel, numer = denom0, 1, 0
-    else:
-        value = Fraction(value)
-        denom = lcm(denom0, value.denominator)
-        rel = denom // denom0
-        numer = int(value * denom)
-    a, b = _bezout(numer, rel)
-    return Stage(key, value, denom, rel, numer, a, b, res_field, residual, embed, z_root, to_prev, prev_st)

@@ -68,8 +68,7 @@ def cmd_polygon(args, base):
     q = parse_polynomial(base, args.key)
     poly = newton_polygon(chain, q, f)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(polygon_svg(poly))
+        _write(args.svg, polygon_svg(poly))
     out = {"base": str(base), "chain": str(chain), "poly": str(f), "key": str(q)}
     out.update(poly.to_json())
     return out
@@ -134,8 +133,7 @@ def cmd_extensions(args, base):
     f = parse_polynomial(base, args.poly)
     survey = ap.enumerate_extensions(base, f)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(survey.tree.to_dot())
+        _write(args.dot, survey.tree.to_dot())
     return survey.to_json()
 
 
@@ -148,7 +146,7 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--base", choices=["Q", "Fpt"], default="Q",
                         help="rationals with the p-adic value, or F_p(t) with the t-adic one")
-    common.add_argument("--p", type=int, default=2, help="the prime (default 2)")
+    common.add_argument("--p", type=int, default=2, help="the prime, below 2^32 (default 2)")
     common.add_argument("--chain", default="x:0",
                         help='augmentation chain "phi:lambda; phi:lambda" (default "x:0")')
     common.add_argument("--json", metavar="FILE", default=None,
@@ -188,15 +186,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(obj, args=None) -> None:
-    """Write obj to the --json file, if any, then print it.  A reader that
-    closed stdout early (``| head``) silences stdout instead of raising."""
-    text = json.dumps(obj, indent=2)
-    if args is not None and getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+def _write(path, text) -> None:
+    """Write a side file; an unwritable path is bad input."""
     try:
-        print(text)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(str(e)) from e
+
+
+def _emit(obj) -> None:
+    """Print obj.  A reader that closed stdout early (``| head``) silences
+    stdout instead of raising."""
+    try:
+        print(json.dumps(obj, indent=2))
         sys.stdout.flush()
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit; send that to devnull
@@ -215,7 +218,12 @@ def main(argv=None) -> int:
         out, code = {"error": {"type": "ValueError", "message": str(e)}}, 2
     except InvariantError as e:
         out, code = {"error": {"type": "InvariantError", "message": str(e)}}, 3
-    _emit(out, args)
+    try:
+        if args is not None and args.json:
+            _write(args.json, json.dumps(out, indent=2) + "\n")
+    except ValueError as e:
+        out, code = {"error": {"type": "ValueError", "message": str(e)}}, 2
+    _emit(out)
     return code
 
 

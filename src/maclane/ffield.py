@@ -48,7 +48,7 @@ import random
 from functools import lru_cache
 
 from . import fppoly
-from .base import FieldElem, InvariantError, _as_int, _is_prime
+from .base import FieldElem, InvariantError, _as_int, _check_prime, _is_prime
 from .poly import Polynomial
 
 # The largest field order that gets log/Zech tables; see the module docstring.
@@ -80,8 +80,7 @@ class FiniteField:
     def of(cls, p: int, k: int = 1) -> "FiniteField":
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        _check_prime(p)
         return _field_of(p, k)
 
     # -- elements ------------------------------------------------------------

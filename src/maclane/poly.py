@@ -451,7 +451,10 @@ def _bit_length(f: Polynomial) -> int:
 
 def parse_polynomial(field: BaseField, text: str) -> Polynomial:
     p = _Parser(field, text)
-    node = p.expr()
+    try:
+        node = p.expr()
+    except RecursionError:
+        p.error("nested too deeply")
     if p.peek():
         p.error("trailing input")
     p.check_size(node, 1, "the polynomial")

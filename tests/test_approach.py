@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maclane import (
     INF,
@@ -443,3 +445,111 @@ def test_no_certificate_for_a_repeated_factor(kind, p, shape):
         text = _non_squarefree(kind, p, shape, i)
         with pytest.raises(ValueError, match="not squarefree"):
             enumerate_extensions(base, pol(base, text))
+
+
+# -- an independent oracle: the paper's two theorems against resultants --------
+#
+# f is a product of factors G_j, each irreducible over Q_p by construction.  For
+# a root theta_j of G_j, v_j(g) = v_p(g(theta_j)) = v_p(Res(G_j, g)) / deg G_j,
+# and a valuation mu lies below v_j exactly when lambda_k <= v_j(phi_k) at every
+# stage (phi_k, lambda_k) of mu.  The oracle side uses Fractions only.
+
+
+def _mulmod(a, b, G):
+    """a*b modulo the monic G, as coefficient lists, low degree first."""
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    n = len(G) - 1
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k]
+        for i, g in enumerate(G):
+            prod[k - n + i] -= c * g
+    return (prod + [Fraction(0)] * n)[:n]
+
+
+def _det(rows):
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            ratio = m[r][c] / m[c][c]
+            for k in range(c, len(m)):
+                m[r][k] -= ratio * m[c][k]
+    return det
+
+
+def _resultant(G, g):
+    """Res(G, g) for monic G: the determinant of multiplication by g mod G."""
+    col, cols = _mulmod([Fraction(1)], g, G), []
+    for _ in range(len(G) - 1):
+        cols.append(col)
+        col = _mulmod(col, [Fraction(0), Fraction(1)], G)
+    return _det(cols)
+
+
+def _vp(x, p):
+    """v_p of the rational x, None (infinite) for zero."""
+    if x == 0:
+        return None
+    n, d, v = x.numerator, x.denominator, 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def _le(lam, v):
+    """lam <= v, where v None is infinite."""
+    return v is None or (lam is not INF and lam <= v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), shape=st.sampled_from(bench_inputs.ENUM_SHAPES),
+       translated=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_in_VF_and_max_augmentation_value_against_resultants(p, shape, translated, seed):
+    R, rng = bench_inputs.IntRing(), random.Random(seed)
+    while True:
+        G = [bench_inputs._enum_factor(R, rng, kind, p, False, translated, 0)[0] for kind in shape]
+        if len({tuple(g) for g in G}) == len(G):
+            break
+    prod = [R.one]
+    for g in G:
+        prod = bench_inputs.pmul(R, prod, g)
+    base = BaseField.rationals(p)
+    f = pol(base, bench_inputs.poly_text(R, prod))
+    memo = {}
+
+    def v(j, q):
+        if (j, q) not in memo:
+            res = _resultant([Fraction(c) for c in G[j]], [Fraction(c.payload) for c in q.coeffs])
+            vp = _vp(res, p)
+            memo[j, q] = None if vp is None else Fraction(vp, len(G[j]) - 1)
+        return memo[j, q]
+
+    def below(mu):
+        return [j for j in range(len(G)) if all(_le(s.value, v(j, s.key)) for s in mu.stages)]
+
+    for report in enumerate_extensions(base, f).reports:
+        stages = report.chain.stages
+        for mu, nxt in zip(stages, stages[1:] + (None,)):
+            js = below(mu)
+            assert in_VF(mu, f) == bool(js)
+            if nxt is None or not mu.divides_in_graded(nxt.key, f):
+                continue
+            q, vq = nxt.key, mu.valuate(nxt.key)
+            vals = [v(j, q) for j in js]
+            m = None if None in vals else max(vals)
+            assert max_augmentation_value(mu, q, f) == (INF if m is None else m)
+            for alpha in [INF] if m is None else [m, m + Fraction(1, 2), (m + vq) / 2]:
+                if alpha > vq:
+                    nu = mu.augment(q, alpha)
+                    assert in_VF(nu, f) == bool(below(nu))

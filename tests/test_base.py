@@ -80,6 +80,15 @@ class TestBaseFieldConstruction:
         with pytest.raises(ValueError):
             BaseField.rational_functions(1)
 
+    def test_p_below_2_to_the_32(self):
+        # 4294967311 is the least prime above 2^32; both field kinds share the check
+        for make in (BaseField.rationals, BaseField.rational_functions, FiniteField.of):
+            with pytest.raises(ValueError, match="below 2"):
+                make(4294967311)
+            with pytest.raises(ValueError, match="p must be prime, got 4294967295"):
+                make(4294967295)
+        assert BaseField.rationals(4294967291).p == FiniteField.of(4294967291).p == 4294967291
+
     def test_equality_and_hash(self):
         assert BaseField.rationals(2) == BaseField.rationals(2)
         assert BaseField.rationals(2) != BaseField.rationals(3)

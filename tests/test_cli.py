@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -198,6 +199,43 @@ class TestErrors:
         out = json.loads(capsys.readouterr().out)
         check("error", out)
         assert "bound" in out["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["valuate", "--poly=" + "(" * 400 + "x" + ")" * 400],
+        ["valuate", "--poly=" + "-" * 1200 + "x"],
+    ])
+    def test_deep_nesting_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        check("error", out)
+        assert "nested too deeply" in out["error"]["message"]
+
+    @pytest.mark.parametrize("missing", [True, False])
+    @pytest.mark.parametrize("argv", [
+        ["valuate", "--poly", "x", "--json"],
+        ["polygon", "--poly", "x^2+2", "--svg"],
+        ["extensions", "--poly", "x^2+2", "--dot"],
+    ])
+    def test_unwritable_side_file_exits_2(self, tmp_path, argv, missing, capsys):
+        # a file in a directory that does not exist, or a path that is a directory
+        path = str(tmp_path / "missing" / "out") if missing else str(tmp_path)
+        assert main(argv + [path]) == 2
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        check("error", out)
+        assert out["error"]["type"] == "ValueError"
+        assert path in out["error"]["message"]
+        assert captured.err == ""
+
+    def test_huge_p_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["valuate", "--p", "1000000000000000003", "--poly", "x"]) == 2
+        assert time.perf_counter() - start < 1
+        out = json.loads(capsys.readouterr().out)
+        check("error", out)
+        assert "2^32" in out["error"]["message"]
+        assert main(["valuate", "--p", "4294967291", "--poly", "x"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "0"
 
     @pytest.mark.parametrize("argv", [
         ["extensions", "--poly", "x^2+2", "--budget", "3"],

@@ -20,6 +20,7 @@ from maclane import (
     format_value,
     newton_polygon,
     parse_polynomial,
+    parse_value,
 )
 from maclane import ffield
 
@@ -93,19 +94,36 @@ class TestConstruction:
         assert len(c.stages) == 2
         assert c.minimal_key() == pol(B2, "x^2+2*x+2")
 
-    def test_inf_only_at_the_end(self):
-        c = chain(B3, "x:0; x^2+1:inf")
-        with pytest.raises(ValueError):
-            MacLaneChain(B3, tuple(reversed(c.stages)))
-
-    def test_stage_must_sit_on_its_own_prefix(self):
-        # a stage's memoized values hold only above the prefix it was built on
-        a = chain(B2, "x:1/2; x^2+2:3/2")
-        with pytest.raises(ValueError):
-            MacLaneChain(B2, (chain(B2, "x:1").stages[0], a.stages[1]))
-        with pytest.raises(ValueError):
-            MacLaneChain(B2, a.stages[1:])
-        assert MacLaneChain(B2, a.stages[:1]) == chain(B2, "x:1/2")
+    # the chains of TestReduceLift and TestCompare
+    @pytest.mark.parametrize("base, text", [(B5, "x:0")] + [(B2, t) for t in (
+        "x:1/2", "x:1/2; x^2+2:3/2", "x:0; x^2+x+1:1", "x:0; x^2+x+1:1/2",
+        "x:2", "x+2:2", "x:1", "x+2:1", "x:0", "x+1:1/2", "x+3:2", "x+1:1",
+        "x:1/2; x^2+2:inf", "x:1/2; x^2+2:3", "x:1/2; x^2+6:inf", "x:1/2; x^2+2:2",
+        "x:1/2; x^2+6:2", "x:1/2; x^2+6:3", "x:0; x^2+x+1:5/2")])
+    def test_every_prefix_is_a_chain(self, base, text):
+        pairs = [(pol(base, key), parse_value(v))
+                 for key, _, v in (part.rpartition(":") for part in text.split(";"))]
+        c = MacLaneChain.from_pairs(base, pairs)
+        sample = [pol(base, s) for s in ("x", "x+1", "x^2+2", "x^3+x+1", "x^4+4*x+2")]
+        sample += [key for key, _ in pairs]
+        values = [c.valuate(f) for f in sample]     # fills the prefixes' memos too
+        assert len(c.stages) == len(pairs) and c.stages[-1] is c
+        for k, prefix in enumerate(c.stages):
+            twin = MacLaneChain.from_pairs(base, pairs[:k + 1])
+            assert prefix == twin
+            assert [prefix.valuate(f) for f in sample] == [twin.valuate(f) for f in sample]
+            if not twin.is_support():
+                assert [prefix.reduce(f) for f in sample] == [twin.reduce(f) for f in sample]
+        assert [c.valuate(f) for f in sample] == values
+        if c.is_support():
+            return
+        assert c.augment(c.key, c.value + 1).below is c.below
+        k = c.residue_constant_field()
+        h = next(h for a in k.elements() for b in k.elements() if not b.is_zero()
+                 for h in [FFPoly(k, (b, a, k.one()))] if ffield.is_irreducible(h))
+        F = c.lift_residual(h)
+        assert F.degree() > c.key.degree()
+        assert c.augment(F, c.valuate(F) + 1).below is c
 
     def test_eq_hash(self):
         a = chain(B2, "x:1/2")
@@ -196,7 +214,7 @@ class TestTruncate:
 
 class TestExpansionMemo:
     def test_sibling_chains_keep_their_own_answers(self):
-        # two augmentations of one chain object share its Stage, and so its memo
+        # two augmentations of one chain object sit on it, and so share its memo
         prefix = chain(B2, "x:1/2")
         key = pol(B2, "x^2+2")
         a, b = prefix.augment(key, Fraction(3, 2)), prefix.augment(key, 2)
@@ -245,12 +263,14 @@ class TestExpansionMemo:
 
     def test_enumeration_reduces_each_pair_once(self, monkeypatch):
         f = pol(B2, "((x^2+x+1)^2+2)^2+4*x")
-        calls, computed = [], []
+        calls, tops, computed = [], [], []
         real_reduce, real_reduction = MacLaneChain.reduce, MacLaneChain._reduction
-        monkeypatch.setattr(MacLaneChain, "reduce",
-                            lambda c, g: calls.append((str(c), g)) or real_reduce(c, g))
-        monkeypatch.setattr(MacLaneChain, "_reduction", lambda c, g, s: computed.append(
-            (c.stages[s - 1], g, s == len(c.stages))) or real_reduction(c, g, s))
+        monkeypatch.setattr(MacLaneChain, "reduce", lambda c, g: calls.append(
+            (str(c), g)) or tops.append(c) or real_reduce(c, g))
+        # a reduction computed for the chain that reduce was called on, or for
+        # a chain below it on the way down
+        monkeypatch.setattr(MacLaneChain, "_reduction", lambda c, g: computed.append(
+            (c, g, c is tops[-1])) or real_reduction(c, g))
         survey = enumerate_extensions(B2, f)
         assert sum(r.e * r.f for r in survey.reports) == 8
         # 7 reduce calls on 6 distinct (chain, f) pairs: graded_factorization
@@ -259,8 +279,8 @@ class TestExpansionMemo:
         assert (len(calls), len(set(calls))) == (7, 6)
         assert calls.count(("x:0; x^2+x+1:1/2; x^4+2*x^3+3*x^2+4*x+1:5/4", f)) == 2
         assert sum(top for _, _, top in computed) == 6
-        # the digits reduced below the last stage are computed once per (stage, g) too
-        assert len(computed) == len({(st_, g) for st_, g, _ in computed})
+        # the digits reduced below the last stage are computed once per (chain, g) too
+        assert len(computed) == len({(id(c), g) for c, g, _ in computed})
 
 
 class TestGradedRing:
@@ -345,6 +365,10 @@ class TestAugment:
         c = chain(B3, "x:0; x^2+1:inf")
         with pytest.raises(ValueError):
             c.augment(pol(B3, "x"), 5)
+        # nor can a chain be built on it directly
+        for key, value in [("x^4+2*x^2+1", 5), ("x^4+x+1", 5), ("x^4+x+1", INF)]:
+            with pytest.raises(ValueError, match="support"):
+                MacLaneChain(B3, c, pol(B3, key), value)
 
     def test_augment_to_inf(self):
         c = chain(B3, "x:0").augment(pol(B3, "x^2+1"), INF)
@@ -409,7 +433,7 @@ class TestReduceLift:
         k = FiniteField.of(2, 1)
         h = FFPoly.from_ints(k, [1, 1])
         assert c2.lift_residual(h) == pol(B2, "x^2+2*x+2")
-        assert c2.lift_residual(h, s=1) == pol(B2, "x^2+2")
+        assert c2.stages[0].lift_residual(h) == pol(B2, "x^2+2")
 
     def test_lift_with_explicit_exponents(self):
         c1 = chain(B2, "x:1/2")

@@ -238,6 +238,12 @@ class TestParser:
         f = parse_polynomial(B2, "(x^2-17)^2+2^1000*2^1000*2^1000*2^1000")
         assert f == (Polynomial.x(B2) ** 2 - 17) ** 2 + 2 ** 4000
 
+    def test_nesting_depth(self):
+        assert parse_polynomial(B5, "(" * 100 + "x" + ")" * 100) == Polynomial.x(B5)
+        assert parse_polynomial(B5, "-" * 100 + "x") == Polynomial.x(B5)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_polynomial(B5, "(" * 1000 + "x" + ")" * 1000)
+
     def test_str_parse_round_trip(self):
         rng = random.Random(11)
         for _ in range(150):
