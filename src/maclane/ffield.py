@@ -17,6 +17,20 @@ field.  Its root of R, like the image of the subfield generator in
 ``embed_into``, is the root with the smallest ``key()``, found by degree-one
 splitting once the distinct-degree factorization shows that R splits.
 
+``adjoin_root``, ``ff_factor`` and ``is_irreducible`` are memoized: their
+bodies ``_adjoin_root``, ``_factor`` and ``_is_irreducible`` sit under
+``functools.lru_cache``, and the public names stay plain functions, so a
+tracer or a test can still wrap them by name.  The key is the polynomial
+argument, whose equality and hash take in its interned field (so y^2+y+1
+over GF(2) and over GF(4) are two entries), plus ``sub`` for
+``adjoin_root``.  Residue fields are small extensions of F_p, so the same
+few (field, residual) pairs come up for every polynomial over a base, and
+each is built or factored once per process.  Each memo keeps at most
+``MEMO_SIZE`` = 512 entries, least recently used out first, because over a
+large p almost every residual is new.  A check that fails raises, and
+``lru_cache`` stores no exception, so it runs again on every call.
+``ff_factor`` stores a tuple and returns a fresh list.
+
 A field of order q <= ``TABLE_BOUND`` does its arithmetic by table lookup
 (Zech logarithms, as in GAP; Huber, IEEE Trans. IT 1990).  When the field is
 made, never at import, it fixes a primitive element g (the first element in
@@ -53,6 +67,8 @@ from .poly import Polynomial
 
 # The largest field order that gets log/Zech tables; see the module docstring.
 TABLE_BOUND = 2 ** 10
+# The most entries each memo of residue-field work keeps; see the module docstring.
+MEMO_SIZE = 512
 
 
 @lru_cache(maxsize=None)
@@ -282,6 +298,11 @@ def is_irreducible(f: FFPoly) -> bool:
     """Whether deg f >= 1 and the distinct-degree factorization of monic f is
     [(f, deg f)].  A non-squarefree f comes out reducible too: the first factor
     split off divides y^(q^d) - y, so it is squarefree and is not f."""
+    return _is_irreducible(f)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _is_irreducible(f: FFPoly) -> bool:
     if f.degree() < 1:
         return False
     f = f.monic()
@@ -408,8 +429,14 @@ def ff_factor(f: FFPoly):
     """Full factorization into monic irreducibles.
 
     Returns (unit, [(g, multiplicity)]) with the factor list sorted by
-    (degree, coefficient vectors).
+    (degree, coefficient vectors).  The list is the caller's own.
     """
+    unit, factors = _factor(f)
+    return unit, list(factors)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _factor(f: FFPoly):
     if f.is_zero():
         raise ValueError("factor of zero polynomial")
     rng = random.Random(0)
@@ -417,13 +444,13 @@ def ff_factor(f: FFPoly):
     f = f.monic()
     factors = []
     if f.degree() == 0:
-        return unit, []
+        return unit, ()
     for g, m in _squarefree_decomposition(f):
         for prod, d in _distinct_degree(g):
             for irr in _equal_degree(prod, d, rng):
                 factors.append((irr.monic(), m))
     factors.sort(key=lambda t: t[0].sort_key())
-    return unit, factors
+    return unit, tuple(factors)
 
 
 # -- roots, embeddings and towers of residue fields ------------------------------
@@ -471,6 +498,11 @@ def adjoin_root(sub: FiniteField, residual: FFPoly):
     z of residual with the smallest ``key()``, and the map from w in big to
     [c_0, ..., c_{n-1}] over sub with w = sum embed(c_j) z^j.  For n = 1, big
     is sub (fields are interned), embed the identity and to_sub(w) = [w]."""
+    return _adjoin_root(sub, residual)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _adjoin_root(sub: FiniteField, residual: FFPoly):
     n = residual.degree()
     big = FiniteField.of(sub.p, sub.k * n)
     embed = embed_into(sub, big)

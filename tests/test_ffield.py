@@ -374,3 +374,69 @@ class TestAdjoinRoot:
         F = FiniteField.of(3)
         with pytest.raises(InvariantError, match="no root"):
             ffield._smallest_root(FFPoly.from_ints(F, [1, 1]) ** 2)
+
+
+_MEMOS = ("_adjoin_root", "_factor", "_is_irreducible")
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty memos for this test only, each counting the runs of its body by name."""
+    runs = []
+    for name in _MEMOS:
+        body = getattr(ffield, name).__wrapped__
+
+        def counted(*args, _body=body, _name=name):
+            runs.append(_name)
+            return _body(*args)
+
+        monkeypatch.setattr(ffield, name, functools.lru_cache(maxsize=ffield.MEMO_SIZE)(counted))
+    return runs
+
+
+class TestMemo:
+    """The memos of ``adjoin_root``, ``ff_factor`` and ``is_irreducible``."""
+
+    def test_a_warm_survey_runs_no_body(self, fresh_memos):
+        base = BaseField.rationals(2)
+        f = parse_polynomial(base, "((x^2+x+1)^2+2)^2+4*x")
+        cold = enumerate_extensions(base, f)
+        assert set(fresh_memos) == set(_MEMOS)
+        fresh_memos.clear()
+        warm = enumerate_extensions(base, f)
+        assert fresh_memos == []
+        assert warm.to_json() == cold.to_json()
+        assert warm.tree.to_dot() == cold.tree.to_dot()
+
+    def test_the_returned_list_is_the_callers(self, fresh_memos):
+        g = FFPoly.from_ints(FiniteField.of(5), [1, 0, 1])
+        unit, factors = ff_factor(g)
+        expected = list(factors)
+        factors.append(factors[0])
+        factors.reverse()
+        assert ff_factor(g) == (unit, expected)
+        assert fresh_memos == ["_factor"]
+
+    def test_the_field_is_part_of_the_key(self, fresh_memos):
+        # y^2+y+1 is irreducible over GF(2) and splits over GF(4): the two have
+        # the same coefficient payloads, and the constants compare like ints
+        f2, f4 = FiniteField.of(2), FiniteField.of(2, 2)
+        over2, over4 = FFPoly.from_ints(f2, [1, 1, 1]), FFPoly.from_ints(f4, [1, 1, 1])
+        for _ in range(2):
+            assert is_irreducible(over2) and not is_irreducible(over4)
+            assert len(ff_factor(over2)[1]) == 1 and len(ff_factor(over4)[1]) == 2
+        assert ffield._is_irreducible.cache_info().currsize == 2
+        assert ffield._factor.cache_info().currsize == 2
+        assert adjoin_root(f2, over2)[0] is f4
+
+    def test_a_failed_check_raises_on_every_call(self, fresh_memos):
+        R = FFPoly.from_ints(FiniteField.of(3), [1, 1]) ** 2
+        for _ in range(3):
+            with pytest.raises(InvariantError, match="no root"):
+                adjoin_root(R.field, R)
+        assert fresh_memos.count("_adjoin_root") == 3
+        assert ffield._adjoin_root.cache_info().currsize == 0
+
+    def test_each_memo_is_bounded(self):
+        for name in _MEMOS:
+            assert getattr(ffield, name).cache_info().maxsize == ffield.MEMO_SIZE
